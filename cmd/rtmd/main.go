@@ -22,10 +22,11 @@
 // internal/wire and the README's "Wire protocol" section) on persistent
 // multiplexed connections — the transport fast path, several times the
 // decisions/s of the JSON endpoint. HTTP stays up alongside it as the
-// control plane (sessions are created and checkpointed over JSON) and as
-// the differential-testing oracle for the binary path. The control
-// plane also runs over the binary protocol (wire control frames), so a
-// routed fleet needs no HTTP between tiers.
+// human-facing front. Both transports run the same implementation of
+// every operation, at a flat rtmd and at a router alike: each HTTP
+// route is a codec over the binary control op or observe batch it
+// names. The control plane also runs over the binary protocol (wire
+// control frames), so a routed fleet needs no HTTP between tiers.
 //
 // -route turns rtmd into the stateless routing tier of a sharded fleet:
 // it owns no sessions, places every session id on one of the -replicas
@@ -33,8 +34,7 @@
 // ring, and forwards both planes over multiplexed binary connections.
 // The decide path is a zero-copy pipelined relay: observe payload bytes
 // are forwarded verbatim (only the request id is rewritten) and up to
-// -pipeline-depth batches (default 4) stay in flight per inbound
-// connection; -pipeline-depth -1 restores the legacy blocking relay.
+// four batches stay in flight per inbound connection.
 // -conns-per-replica opens N connections per replica and stripes
 // relayed batches across them. Point every replica at the same
 // -checkpoint-dir (shared storage) and sessions can hand off between
@@ -108,7 +108,6 @@ func main() {
 		route      = flag.Bool("route", false, "run as a stateless router over -replicas instead of serving sessions")
 		replicas   = flag.String("replicas", "", "comma-separated replica binary-transport addresses (with -route)")
 		connsPer   = flag.Int("conns-per-replica", 1, "binary connections the router holds per replica; batches stripe across them (with -route)")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "relayed decide batches kept in flight per client connection; 0 selects the default, negative restores the legacy blocking relay (with -route)")
 		platform   = flag.String("platform", "a15", "default platform variant for new sessions")
 		periodS    = flag.Float64("period", 0.040, "default decision-epoch deadline Tref in seconds")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for session learning-state checkpoints (empty: no persistence)")
@@ -215,16 +214,15 @@ func main() {
 				fatal(fmt.Errorf("-%s applies to replicas, not the router; set it on each replica rtmd", f.Name))
 			}
 		})
-		routeMain(*addr, *tcpAddr, *replicas, *connsPer, *pipeDepth, *drainGrace, logger, tracer, logf)
+		routeMain(*addr, *tcpAddr, *replicas, *connsPer, *drainGrace, logger, tracer, logf)
 		return
 	}
 	if *replicas != "" {
 		fatal(errors.New("-replicas requires -route"))
 	}
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "conns-per-replica", "pipeline-depth":
-			fatal(fmt.Errorf("-%s requires -route", f.Name))
+		if f.Name == "conns-per-replica" {
+			fatal(errors.New("-conns-per-replica requires -route"))
 		}
 	})
 
@@ -348,7 +346,7 @@ func main() {
 // routeMain runs the routing tier: no sessions, no checkpoints — just
 // the ring, one multiplexed binary connection per replica, and the same
 // two listener fronts a replica has.
-func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drainGrace time.Duration, logger *slog.Logger, tracer *trace.Tracer, logf func(string, ...any)) {
+func routeMain(addr, tcpAddr, replicaList string, connsPer int, drainGrace time.Duration, logger *slog.Logger, tracer *trace.Tracer, logf func(string, ...any)) {
 	var addrs []string
 	for _, a := range strings.Split(replicaList, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -358,13 +356,7 @@ func routeMain(addr, tcpAddr, replicaList string, connsPer, pipeDepth int, drain
 	if len(addrs) == 0 {
 		fatal(errors.New("-route requires -replicas host1:port,host2:port,..."))
 	}
-	opt := serve.RouterOptions{Log: logger, Tracer: tracer, ConnsPerReplica: connsPer}
-	if pipeDepth < 0 {
-		opt.LegacyRelay = true
-	} else {
-		opt.PipelineDepth = pipeDepth
-	}
-	rt, err := serve.NewRouter(addrs, opt)
+	rt, err := serve.NewRouter(addrs, serve.RouterOptions{Log: logger, Tracer: tracer, ConnsPerReplica: connsPer})
 	if err != nil {
 		fatal(err)
 	}

@@ -22,9 +22,7 @@ import (
 // this process and measure what a million-session deployment cares
 // about: decide tail latency under churn, memory per live session, how
 // much of the churn peak the server gives back, and checkpoint write
-// amplification. The Baseline toggle re-enables the two pre-fix
-// behaviours (no session-map shrink, checkpoint-everything sweeps) so
-// the fixes stay measurable against what they replaced.
+// amplification.
 
 // SoakConfig configures one soak run.
 type SoakConfig struct {
@@ -39,9 +37,6 @@ type SoakConfig struct {
 	// Lanes and BatchMax tune the runner (loadgen.RunOptions).
 	Lanes    int
 	BatchMax int
-	// Baseline disables both churn fixes — the session-map shrink and the
-	// dirty-checkpoint skip — to measure the pre-fix behaviour.
-	Baseline bool
 	// LiveSampleEvery, when > 0, samples the LIVE heap at this cadence by
 	// forcing a GC first: HeapAlloc right after a collection is reachable
 	// memory, not reachable-plus-garbage, so the per-session figure it
@@ -61,7 +56,6 @@ type SoakConfig struct {
 // SoakResult is one soak run's measurement.
 type SoakResult struct {
 	Topology string `json:"topology"`
-	Baseline bool   `json:"baseline"`
 
 	Events       int64   `json:"events"`
 	Creates      int64   `json:"creates"`
@@ -166,10 +160,8 @@ func heapAlloc() uint64 {
 // teardown.
 func soakTopology(cfg SoakConfig) (loadgen.Target, []*serve.Server, *serve.Router, func(), error) {
 	opt := serve.Options{
-		CheckpointDir:          cfg.CheckpointDir,
-		CheckpointEvery:        cfg.CheckpointEvery,
-		CheckpointEverySession: cfg.Baseline,
-		DisableStoreShrink:     cfg.Baseline,
+		CheckpointDir:   cfg.CheckpointDir,
+		CheckpointEvery: cfg.CheckpointEvery,
 	}
 	var cleanups []func()
 	cleanup := func() {
@@ -355,7 +347,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	res := &SoakResult{
 		Topology:     cfg.Topology,
-		Baseline:     cfg.Baseline,
 		Events:       rep.Events,
 		Creates:      rep.Creates,
 		Deletes:      rep.Deletes,

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"qgov/internal/governor"
 	"qgov/internal/stats"
-	"qgov/internal/trace"
+	"qgov/internal/strhash"
+	"qgov/internal/wire"
 )
 
 // Wire types. Floats round-trip exactly through encoding/json (shortest
@@ -131,68 +131,132 @@ type decisionJSON struct {
 // more clusters than this per tick should split the batch.
 const maxDecideBatch = 4096
 
-// validateDecideBatch is the one copy of the batch-size contract, shared
-// by the flat server's and the router's JSON decide handlers so the two
-// paths cannot drift.
-func validateDecideBatch(n int) error {
-	if n == 0 {
-		return errf("requests is empty")
-	}
-	if n > maxDecideBatch {
-		return errf("batch of %d exceeds the %d-decision limit", n, maxDecideBatch)
-	}
-	return nil
-}
-
 // maxBodyBytes bounds any request body (calibration series and inline
 // checkpoints are the big ones).
 const maxBodyBytes = 32 << 20
 
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
+	return newHTTPFront(s, func() (metricsJSON, error) { return s.buildMetrics(), nil })
+}
+
+// newHTTPFront builds the HTTP API both tiers serve: Server.Handler and
+// Router.Handler both return it. Every route is a codec over the
+// backend's two entry points. Session and fleet routes call control
+// with the op, id and JSON body a binary control frame would carry, and
+// JSON decide runs its batch through decideBatch, so each operation has
+// one implementation per tier whichever transport carries it. metrics
+// is the document the Prometheus scrape renders: the server's own, or
+// the router's fleet merge.
+func newHTTPFront(b connBackend, metrics func() (metricsJSON, error)) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
-	mux.HandleFunc("POST /v1/decide", s.handleDecide)
-	mux.HandleFunc("GET /v1/sessions/{id}", s.handleInfo)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
-	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/trace", s.handleTrace)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
+	route := func(pattern string, op byte) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			status, body := b.control(op, r.PathValue("id"), nil)
+			writeControlResult(w, status, body)
+		})
+	}
+	route("GET /v1/sessions/{id}", wire.OpInfo)
+	route("DELETE /v1/sessions/{id}", wire.OpDelete)
+	route("POST /v1/sessions/{id}/checkpoint", wire.OpCheckpoint)
+	route("GET /v1/members", wire.OpMembers)
+	route("GET /healthz", wire.OpHealth)
+	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		body, err := readBody(w, r)
+		if err != nil {
+			writeControlResult(w, http.StatusBadRequest, errorBody(err))
+			return
+		}
+		status, resp := b.control(wire.OpCreate, "", body)
+		writeControlResult(w, status, resp)
+	})
+	mux.HandleFunc("GET /v1/trace", func(w http.ResponseWriter, r *http.Request) {
+		q, err := traceQueryFromRequest(r)
+		if err != nil {
+			writeControlResult(w, http.StatusBadRequest, errorBody(err))
+			return
+		}
+		status, body := b.control(wire.OpTrace, "", jsonBody(q))
+		writeControlResult(w, status, body)
+	})
+	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if !wantsPrometheus(r) {
+			status, body := b.control(wire.OpMetrics, "", nil)
+			writeControlResult(w, status, body)
+			return
+		}
+		m, err := metrics()
+		if err != nil {
+			writeControlResult(w, http.StatusBadGateway, errorBody(err))
+			return
+		}
+		w.Header().Set("Content-Type", prometheusContentType)
+		writePrometheus(w, m, topSessions(r))
+	})
+	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
+		status, body := decideJSON(b, w, r)
+		writeControlResult(w, status, body)
+	})
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// readBody reads a request body of at most maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
+// writeControlResult writes a control result as an HTTP response: the
+// two planes share status codes and bodies by construction.
+func writeControlResult(w http.ResponseWriter, status uint16, body []byte) {
+	if len(body) == 0 {
+		w.WriteHeader(int(status))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	w.WriteHeader(int(status))
+	_, _ = w.Write(body)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	sess, status, err := s.createSession(req)
+// decideJSON serves one JSON decide batch: one observation per entry,
+// one operating-point decision back per entry, through the backend's
+// decideBatch, the same path binary observes take. Entries fail
+// independently: an unknown session or a rejected observation errors
+// that entry, not the batch. A batch may carry several observations for
+// one session; they decide in batch order.
+func decideJSON(b connBackend, w http.ResponseWriter, r *http.Request) (uint16, []byte) {
+	raw, err := readBody(w, r)
 	if err != nil {
-		writeError(w, status, err)
-		return
+		return http.StatusBadRequest, errorBody(err)
 	}
-	s.logf("serve: session %s created (%s on %s)", sess.id, sess.govName, sess.platName)
-	writeJSON(w, http.StatusCreated, s.info(sess))
+	var req decideRequest
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return http.StatusBadRequest, errorBody(err)
+	}
+	n := len(req.Requests)
+	if n == 0 {
+		return http.StatusBadRequest, errorBody(errf("requests is empty"))
+	}
+	if n > maxDecideBatch {
+		return http.StatusBadRequest, errorBody(errf("batch of %d exceeds the %d-decision limit", n, maxDecideBatch))
+	}
+	batch := make([]*observeReq, n)
+	for i, item := range req.Requests {
+		batch[i] = &observeReq{}
+		batch[i].m.Session = []byte(item.Session)
+		batch[i].m.Obs = item.Obs.observation()
+	}
+	b.decideBatch(batch)
+	resp := decideResponse{Decisions: make([]decisionJSON, n)}
+	for i, q := range batch {
+		// Every failure path sets oppIdx -1 and freqMHz 0.
+		resp.Decisions[i] = decisionJSON{
+			Session: req.Requests[i].Session,
+			OPPIdx:  int(q.oppIdx),
+			FreqMHz: int(q.freqMHz),
+			Error:   q.errMsg,
+		}
+	}
+	return http.StatusOK, jsonBody(resp)
 }
 
 func (s *Server) info(sess *session) sessionInfo {
@@ -218,27 +282,9 @@ func (s *Server) info(sess *session) sessionInfo {
 	return in
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(r.PathValue("id"))
-	if sess == nil {
-		writeError(w, http.StatusNotFound, errUnknownSession(r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.info(sess))
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.deleteSession(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, errUnknownSession(r.PathValue("id")))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // freezeSession captures the session's learnt state now and persists it
-// to the checkpoint store when one is configured. Both control planes
-// (HTTP and binary) run checkpoints through it. The returned status is
-// an HTTP code on failure.
+// to the checkpoint store when one is configured; OpCheckpoint runs it
+// for both planes. The returned status is an HTTP code on failure.
 func (s *Server) freezeSession(sess *session) ([]byte, int, error) {
 	cp, ok := sess.learner.(governor.Checkpointer)
 	if !ok {
@@ -275,20 +321,6 @@ func (s *Server) freezeSession(sess *session) ([]byte, int, error) {
 	return buf.Bytes(), http.StatusOK, nil
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(r.PathValue("id"))
-	if sess == nil {
-		writeError(w, http.StatusNotFound, errUnknownSession(r.PathValue("id")))
-		return
-	}
-	state, status, err := s.freezeSession(sess)
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, checkpointResponse{Session: sess.id, State: state})
-}
-
 // checkpointResponse is the body of a successful checkpoint: the frozen
 // state inline, so a caller (the router's hand-off, a backup job) can
 // carry it without touching the checkpoint store.
@@ -297,113 +329,55 @@ type checkpointResponse struct {
 	State   json.RawMessage `json:"state"`
 }
 
-// decideOne serves one batch entry. Entries fail independently — an
-// unknown session or a rejected observation errors that entry, not the
-// batch.
-func (s *Server) decideOne(item decideItem) decisionJSON {
-	d := decisionJSON{Session: item.Session, OPPIdx: -1}
-	if sess := s.session(item.Session); sess == nil {
-		d.Error = errUnknownSession(item.Session).Error()
-	} else if idx, err := sess.decide(item.Obs.observation()); err != nil {
-		d.Error = err.Error()
-	} else {
-		d.OPPIdx = idx
-		d.FreqMHz = sess.plat.table[idx].FreqMHz
-		s.decisions.Add(1)
-	}
-	return d
-}
-
 // parallelDecideThreshold is the batch size past which fanning entries
 // out across workers beats a serial loop (a single decision is a few
 // microseconds of governor work).
 const parallelDecideThreshold = 32
 
-// fanOut runs f(0..n-1), in parallel across min(GOMAXPROCS, n) workers
-// when the batch is big enough to amortise the goroutine hand-off. Both
-// transports decide batches through it: sessions lock independently, so
-// entries for different sessions run concurrently.
-func fanOut(n int, f func(i int)) {
+// ownerScratch holds one batch's worker assignment; pooled so the decide
+// path's steady state allocates nothing for it.
+var ownerScratch = sync.Pool{New: func() any { return new([]int) }}
+
+// fanOut runs f on every request of the batch, in parallel across
+// min(GOMAXPROCS, n) workers when the batch is big enough to amortise
+// the goroutine hand-off. The batch is partitioned by session, not by
+// index: each entry's session hashes to one worker, and every worker
+// walks the batch in index order taking only the entries it owns. A
+// session's decides within one batch therefore run in arrival order on
+// one worker, while different sessions, which lock independently, run
+// concurrently.
+func fanOut(batch []*observeReq, f func(r *observeReq)) {
+	n := len(batch)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if n < parallelDecideThreshold || workers < 2 {
-		for i := 0; i < n; i++ {
-			f(i)
+		for _, r := range batch {
+			f(r)
 		}
 		return
 	}
-	var next atomic.Int64
+	scratch := ownerScratch.Get().(*[]int)
+	owner := (*scratch)[:0]
+	for _, r := range batch {
+		owner = append(owner, int(strhash.Bytes(r.m.Session)%uint64(workers)))
+	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+			for i, o := range owner {
+				if o == w {
+					f(batch[i])
 				}
-				f(i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-}
-
-// handleDecide is the serving hot path: one batched request carries one
-// observation per controlled session and returns one operating-point
-// decision each. Large batches fan out across workers — sessions lock
-// independently, so decisions for different sessions run concurrently
-// within a batch as well as across requests. A batch carrying several
-// observations for the *same* session is a protocol violation (the
-// session serialises them in unspecified order).
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	var req decideRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	n := len(req.Requests)
-	if err := validateDecideBatch(n); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Same two sampling decisions as the binary path, batch-level on the
-	// JSON plane: head-sample the batch, tail-capture it if slow.
-	tr := s.tracer
-	batchTrace, _ := tr.Sample()
-	timed := tr.Enabled()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	resp := decideResponse{Decisions: make([]decisionJSON, n)}
-	fanOut(n, func(i int) {
-		resp.Decisions[i] = s.decideOne(req.Requests[i])
-	})
-	if timed {
-		dur := time.Since(start)
-		durUS := float64(dur) / float64(time.Microsecond)
-		if tr.Slow(dur) {
-			id := batchTrace
-			if id == 0 {
-				id = tr.ID()
-			}
-			tr.Record(trace.Span{
-				Trace: id, Stage: "decide.batch", Origin: s.originName(),
-				Start: start.UnixNano(), DurUS: durUS, Batch: n, Slow: true,
-			})
-			s.log.Warn("slow decide batch",
-				"trace", id.String(), "dur_us", durUS, "batch", n)
-		} else if batchTrace != 0 {
-			tr.Record(trace.Span{
-				Trace: batchTrace, Stage: "decide.batch", Origin: s.originName(),
-				Start: start.UnixNano(), DurUS: durUS, Batch: n,
-			})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	*scratch = owner
+	ownerScratch.Put(scratch)
 }
 
 // latencyJSON is one latency histogram: bins over [lo_us, hi_us] with
@@ -558,16 +532,6 @@ func (s *Server) buildMetrics() metricsJSON {
 	return out
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.buildMetrics()
-	if wantsPrometheus(r) {
-		w.Header().Set("Content-Type", prometheusContentType)
-		writePrometheus(w, m, topSessions(r))
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
 // maxTopSessions bounds ?top=K: per-session series are opt-in detail, and
 // even opted in, the scrape must stay bounded whatever K the URL carries.
 const maxTopSessions = 64
@@ -685,10 +649,6 @@ func (s *Server) health() healthJSON {
 		MemberEpoch: s.fleetEpoch.Load(),
 		Forwarded:   s.forwarded.Load(),
 	}
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
 }
 
 func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }

@@ -1,7 +1,9 @@
 package serve_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -155,6 +157,136 @@ func TestChurnFleetMatchesOracle(t *testing.T) {
 	if got.Checksum != want.Checksum {
 		t.Fatalf("fleet checksum %x != oracle %x", got.Checksum, want.Checksum)
 	}
+}
+
+// batchTarget is the slice of a serving target the order test drives:
+// loadgen.Local (the serial oracle), a binary client, or the JSON front.
+type batchTarget interface {
+	CreateSession(body []byte) (int, []byte, error)
+	DecideBatch(sessions []string, obs []governor.Observation, out []client.Decision) error
+}
+
+// jsonTarget drives a server's HTTP front: creates and decides as JSON.
+type jsonTarget struct{ h *testServer }
+
+func (j jsonTarget) CreateSession(body []byte) (int, []byte, error) {
+	resp, err := j.h.ts.Client().Post(j.h.ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, b, err
+}
+
+func (j jsonTarget) DecideBatch(sessions []string, obs []governor.Observation, out []client.Decision) error {
+	items := make([]decideItem, len(sessions))
+	for i, id := range sessions {
+		items[i] = decideItem{Session: id, Obs: obsFromGov(obs[i])}
+	}
+	var resp struct {
+		Decisions []decision `json:"decisions"`
+	}
+	if st := j.h.post("/v1/decide", map[string]any{"requests": items}, &resp); st != http.StatusOK {
+		return fmt.Errorf("decide returned %d", st)
+	}
+	if len(resp.Decisions) != len(out) {
+		return fmt.Errorf("%d decisions for %d requests", len(resp.Decisions), len(out))
+	}
+	for i, d := range resp.Decisions {
+		out[i] = client.Decision{OPPIdx: d.OPPIdx, FreqMHz: d.FreqMHz, Err: d.Error}
+	}
+	return nil
+}
+
+// orderObs is the k-th observation of the order test: the workload
+// swings every entry, so a session that saw its observations in another
+// order would learn, and decide, differently.
+func orderObs(k int) governor.Observation {
+	o := steadyObs()
+	f := 0.5 + float64(k%7)/6
+	o.Epoch = k
+	o.Cycles = []uint64{uint64(30e6 * f), uint64(31e6 * f), uint64(29e6 * f), uint64(30e6 * f)}
+	o.ExecTimeS = 0.025 * f
+	return o
+}
+
+// TestBatchPreservesPerSessionOrder sends decide batches that cycle over
+// three sessions, so each session repeats 32 times within one batch. A
+// session must see its observations in batch order, so every transport
+// — flat binary, flat JSON and routed binary — must reproduce a serial
+// in-process replay decision for decision. Batches this large fan out
+// across workers whenever GOMAXPROCS >= 2.
+func TestBatchPreservesPerSessionOrder(t *testing.T) {
+	const (
+		batchLen = 96
+		rounds   = 20
+	)
+	ids := []string{"ord-0", "ord-1", "ord-2"}
+	run := func(t *testing.T, tg batchTarget) [][]client.Decision {
+		t.Helper()
+		for i, id := range ids {
+			body := fmt.Sprintf(`{"id":%q,"governor":"rtm","seed":%d}`, id, i+1)
+			if st, resp, err := tg.CreateSession([]byte(body)); err != nil || st != http.StatusCreated {
+				t.Fatalf("create %s: status %d err %v (%s)", id, st, err, resp)
+			}
+		}
+		all := make([][]client.Decision, rounds)
+		for r := range all {
+			sessions := make([]string, batchLen)
+			obs := make([]governor.Observation, batchLen)
+			for k := range sessions {
+				sessions[k] = ids[k%len(ids)]
+				obs[k] = orderObs(r*batchLen + k)
+			}
+			all[r] = make([]client.Decision, batchLen)
+			if err := tg.DecideBatch(sessions, obs, all[r]); err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+		return all
+	}
+	want := run(t, loadgen.NewLocal())
+	check := func(t *testing.T, got [][]client.Decision) {
+		t.Helper()
+		for r := range want {
+			for k, w := range want[r] {
+				if w.Err != "" {
+					t.Fatalf("oracle round %d entry %d failed: %s", r, k, w.Err)
+				}
+				if got[r][k] != w {
+					t.Fatalf("round %d entry %d (%s): got %+v, serial replay %+v", r, k, ids[k%len(ids)], got[r][k], w)
+				}
+			}
+		}
+	}
+
+	t.Run("flat-binary", func(t *testing.T) {
+		h := newTestServer(t, serve.Options{})
+		cl, err := client.Dial(newTCPServer(t, h).Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		check(t, run(t, cl))
+	})
+	t.Run("flat-json", func(t *testing.T) {
+		check(t, run(t, jsonTarget{newTestServer(t, serve.Options{})}))
+	})
+	t.Run("routed-binary", func(t *testing.T) {
+		_, addrs := newFleet(t, 2, serve.Options{})
+		rt, err := serve.NewRouter(addrs, serve.RouterOptions{ProbeEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		cl, err := client.Dial(startRouterTCP(t, rt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		check(t, run(t, cl))
+	})
 }
 
 // TestChurnRecycledIDRace hammers one session id from a decider while a

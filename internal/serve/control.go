@@ -7,12 +7,12 @@ import (
 	"qgov/internal/wire"
 )
 
-// control implements connBackend: it executes one binary control-plane
-// operation. Ops mirror the HTTP endpoints one for one — same request
-// and response JSON, same status codes — so the two control planes
-// cannot drift apart in semantics, only in framing. It is called from
-// the TCP connection worker between decide batches (control frames are
-// ordering barriers; see tcpConn.respond).
+// control implements connBackend: it executes one control-plane
+// operation. It is the only implementation of each op: the TCP
+// connection worker calls it between decide batches (control frames are
+// ordering barriers; see tcpConn.respond), and the HTTP front calls it
+// for every session and fleet route, so the two planes share request
+// and response JSON and status codes by construction.
 func (s *Server) control(op byte, session string, body []byte) (status uint16, resp []byte) {
 	switch op {
 	case wire.OpCreate:

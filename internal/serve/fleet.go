@@ -153,7 +153,7 @@ func (s *Server) closePeers() {
 	}
 }
 
-// forwardMisrouted is the second pass of the binary decide path: any
+// forwardMisrouted is the second pass of the decide path: any
 // request whose session this replica does not hold, and whose ring owner
 // is another live member, is relayed there and answered with the owner's
 // decision. Only first-hop requests are relayed (FlagForwarded bounds

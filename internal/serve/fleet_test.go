@@ -534,8 +534,8 @@ func TestDirectFleetEquivalence(t *testing.T) {
 // BenchmarkRoutedDecideThroughput. The router is out of the data path
 // entirely — no extra hop, no shared relay tier — so this bounds the
 // routed numbers from above and throughput scales with the replica
-// count instead of the routing tier's capacity. BENCH_7.json records
-// this, the pipelined routed path, and the legacy blocking relay in CI.
+// count instead of the routing tier's capacity. CI records this beside
+// the pipelined routed path.
 func BenchmarkDirectDecideThroughput(b *testing.B) {
 	for _, replicas := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {

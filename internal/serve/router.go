@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"qgov/internal/governor"
 	"qgov/internal/ring"
 	"qgov/internal/serve/client"
 	"qgov/internal/stats"
@@ -32,14 +31,13 @@ import (
 // flight per inbound connection while each replica's slice still
 // travels as one flush on that replica's connection (the
 // connection-level batch coalescing the flat server relies on,
-// preserved per replica). Per-batch grouping state is pooled;
-// LegacyRelay restores the old blocking decode/re-encode relay.
+// preserved per replica). Per-batch grouping state is pooled.
 // Control operations (create, checkpoint, delete, info) follow the
 // same ring; metrics and list aggregate across the fleet, including a
 // per-replica relay hop histogram and in-flight gauge.
 //
-// The router serves the same two fronts as a replica: Handler is the
-// HTTP control plane (plus JSON decide), NewRouterTCP the binary
+// The router serves the same two fronts as a replica, built by the same
+// code: Handler is the shared HTTP front, NewRouterTCP the binary
 // transport. Clients cannot tell a router from a flat server — the
 // router equivalence test holds routed decision streams byte-identical
 // to a single server over the same session set.
@@ -85,9 +83,8 @@ type Router struct {
 
 	// relayWG counts in-flight relayed decide batches. Add runs under
 	// mu.RLock, Wait under mu.Lock — mutually exclusive, so a Wait never
-	// races a fresh Add. Ring changes Wait on it to restore the invariant
-	// the legacy path got from holding the read lock across the round
-	// trip: no decision lands on a session mid-move.
+	// races a fresh Add. Ring changes Wait on it so that no decision lands
+	// on a session mid-move.
 	relayWG  sync.WaitGroup
 	inflight atomic.Int64
 
@@ -110,12 +107,6 @@ type memberStatus struct {
 // defaultProbeEvery is the replica health-check cadence when
 // RouterOptions.ProbeEvery is zero.
 const defaultProbeEvery = 2 * time.Second
-
-// defaultPipelineDepth is the per-connection relay pipeline depth when
-// RouterOptions.PipelineDepth is zero: how many decide batches the
-// router's transport keeps in flight toward the replicas before the
-// reader stops pulling new frames off a client connection.
-const defaultPipelineDepth = 4
 
 // Routed hop latency histogram shape: 0–20ms in 400µs bins covers
 // loopback and rack-local round trips; slower hops land in overflow,
@@ -145,16 +136,6 @@ type RouterOptions struct {
 	// ConnsPerReplica is how many binary connections the router opens to
 	// each replica; batches stripe across them. <= 0 selects 1.
 	ConnsPerReplica int
-	// PipelineDepth bounds how many decide batches each client
-	// connection keeps in flight toward the replicas before the router
-	// stops pulling new frames off it. Zero selects
-	// defaultPipelineDepth; LegacyRelay disables pipelining entirely.
-	PipelineDepth int
-	// LegacyRelay restores the pre-pipelining relay: each decide batch
-	// decodes into observations, re-encodes toward the replicas, and
-	// blocks its connection until every reply lands. Kept as an escape
-	// hatch and as the baseline the routed benchmarks compare against.
-	LegacyRelay bool
 }
 
 // NewRouter dials every replica's binary address and builds the ring
@@ -409,33 +390,11 @@ func (rt *Router) probeOnce() {
 	}
 }
 
-// decideBatch implements connBackend: requests group by owning replica
-// and fan out, one relay (one flush, one coalesced server-side fan-out)
-// per replica. Entries for unreachable replicas fail individually,
-// exactly like unknown sessions. The JSON decide path and the legacy
-// relay come through here and block until the batch is answered; the
-// pipelined binary transport calls startBatch directly instead, so the
-// connection's reader keeps pulling frames while this batch is in
-// flight.
-func (rt *Router) decideBatch(batch []*observeReq) {
-	if rt.pipelineDepth() > 0 {
-		<-rt.startBatch(batch)
-		return
-	}
-	rt.legacyDecideBatch(batch)
-}
-
-// pipelineDepth implements batchStarter: a positive depth switches the
-// binary transport's connection workers to the pipelined dispatcher.
-func (rt *Router) pipelineDepth() int {
-	if rt.opt.LegacyRelay {
-		return 0
-	}
-	if rt.opt.PipelineDepth > 0 {
-		return rt.opt.PipelineDepth
-	}
-	return defaultPipelineDepth
-}
+// decideBatch implements connBackend: startBatch, waited out. The JSON
+// decide path comes through here; the pipelined binary transport calls
+// startBatch directly instead, so the connection's reader keeps pulling
+// frames while this batch is in flight.
+func (rt *Router) decideBatch(batch []*observeReq) { <-rt.startBatch(batch) }
 
 // routeGroup is one replica's slice of a relayed batch: the original
 // batch positions, the observe payloads aliased straight out of the
@@ -497,10 +456,13 @@ func (s *routeScratch) release() {
 	routeScratchPool.Put(s)
 }
 
-// startBatch implements batchStarter: it relays the batch's already-
-// encoded observe payloads to their owning replicas — no decode, no
-// re-encode, only the request id is rewritten per frame — and returns a
-// channel that closes when every entry is answered. Grouping and
+// startBatch implements batchStarter: it groups the batch by owning
+// replica and relays each group's already-encoded observe payloads as
+// one relay (one flush, one coalesced server-side fan-out) — no decode,
+// no re-encode, only the request id is rewritten per frame. Entries for
+// unreachable replicas fail individually, exactly like unknown
+// sessions. It returns a channel that closes when every entry is
+// answered. Grouping and
 // dispatch run on the caller's goroutine under the read lock (so the
 // ring cannot change under the batch, and per-replica frame order
 // follows arrival order); waiting moves to a completion goroutine, so
@@ -723,68 +685,6 @@ func (rt *Router) hopSnapshot() map[string]latencyJSON {
 		out[addr] = latencyFromHistogram(h)
 	}
 	return out
-}
-
-// legacyDecideBatch is the pre-pipelining relay, kept behind
-// RouterOptions.LegacyRelay: decode each request, re-encode toward the
-// owner, and hold the read lock across the whole round trip.
-func (rt *Router) legacyDecideBatch(batch []*observeReq) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-
-	type group struct {
-		idx      []int
-		sessions [][]byte
-		obs      []governor.Observation
-	}
-	groups := make(map[string]*group)
-	for i, r := range batch {
-		if r.ctrl {
-			continue // callers split controls out; defensive
-		}
-		owner, ok := rt.ring.OwnerBytes(r.m.Session)
-		if !ok {
-			r.oppIdx, r.freqMHz = -1, 0
-			r.errMsg = "router has no replicas"
-			continue
-		}
-		g := groups[owner]
-		if g == nil {
-			g = &group{}
-			groups[owner] = g
-		}
-		g.idx = append(g.idx, i)
-		// The session bytes stay owned by their pooled request until the
-		// whole batch is answered, so the group can alias them — skipping
-		// a string conversion per decision on the routed hot path.
-		g.sessions = append(g.sessions, r.m.Session)
-		g.obs = append(g.obs, r.m.Obs)
-	}
-
-	var wg sync.WaitGroup
-	for owner, g := range groups {
-		wg.Add(1)
-		go func(owner string, g *group) {
-			defer wg.Done()
-			out := make([]client.Decision, len(g.sessions))
-			err := rt.clients[owner].DecideBatchBytes(g.sessions, g.obs, out)
-			for k, i := range g.idx {
-				r := batch[i]
-				if err != nil {
-					r.oppIdx, r.freqMHz = -1, 0
-					r.errMsg = fmt.Sprintf("replica %s: %v", owner, err)
-					continue
-				}
-				r.oppIdx = int32(out[k].OPPIdx)
-				r.freqMHz = int32(out[k].FreqMHz)
-				r.errMsg = out[k].Err
-				if out[k].Err == "" {
-					rt.decisions.Add(1)
-				}
-			}
-		}(owner, g)
-	}
-	wg.Wait()
 }
 
 // control implements connBackend: session-scoped ops forward to the
@@ -1278,99 +1178,9 @@ func NewRouterTCP(rt *Router, lis net.Listener) *TCPServer {
 	return newTCPListener(rt, lis)
 }
 
-// Handler returns the router's HTTP API: the same surface a flat server
+// Handler returns the router's HTTP API: the front a flat server
 // exposes, so existing clients point at the router unchanged.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sessions", rt.handleRouteCreate)
-	mux.HandleFunc("POST /v1/decide", rt.handleRouteDecide)
-	mux.HandleFunc("GET /v1/sessions/{id}", rt.handleRouteOp(wire.OpInfo))
-	mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleRouteOp(wire.OpDelete))
-	mux.HandleFunc("POST /v1/sessions/{id}/checkpoint", rt.handleRouteOp(wire.OpCheckpoint))
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if wantsPrometheus(r) {
-			// The router scrapes like a replica: the fleet-merged document
-			// renders through the same exposition writer.
-			merged, err := rt.mergedMetrics()
-			if err != nil {
-				writeError(w, http.StatusBadGateway, err)
-				return
-			}
-			w.Header().Set("Content-Type", prometheusContentType)
-			writePrometheus(w, merged, topSessions(r))
-			return
-		}
-		status, body := rt.control(wire.OpMetrics, "", nil)
-		writeControlResult(w, status, body)
-	})
-	mux.HandleFunc("GET /v1/trace", rt.handleTrace)
-	mux.HandleFunc("GET /healthz", rt.handleRouteHealth)
-	mux.HandleFunc("GET /v1/members", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, rt.membersInfo())
-	})
-	return mux
-}
-
-// writeControlResult relays a control result as an HTTP response; the
-// two planes share status codes and bodies by construction.
-func writeControlResult(w http.ResponseWriter, status uint16, body []byte) {
-	if len(body) == 0 {
-		w.WriteHeader(int(status))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(int(status))
-	_, _ = w.Write(body)
-}
-
-func (rt *Router) handleRouteCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	status, body := rt.control(wire.OpCreate, req.ID, jsonBody(req))
-	writeControlResult(w, status, body)
-}
-
-func (rt *Router) handleRouteOp(op byte) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		status, body := rt.control(op, r.PathValue("id"), nil)
-		writeControlResult(w, status, body)
-	}
-}
-
-// handleRouteDecide serves a JSON decide batch through the same
-// grouping/fan-out path as the binary transport.
-func (rt *Router) handleRouteDecide(w http.ResponseWriter, r *http.Request) {
-	var req decideRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	n := len(req.Requests)
-	if err := validateDecideBatch(n); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	batch := make([]*observeReq, n)
-	for i, item := range req.Requests {
-		batch[i] = &observeReq{}
-		batch[i].m.Session = []byte(item.Session)
-		batch[i].m.Obs = item.Obs.observation()
-	}
-	rt.decideBatch(batch)
-	resp := decideResponse{Decisions: make([]decisionJSON, n)}
-	for i, r := range batch {
-		// decideBatch zeroes freqMHz on every failure path, matching the
-		// flat server's error shape.
-		resp.Decisions[i] = decisionJSON{
-			Session: req.Requests[i].Session,
-			OPPIdx:  int(r.oppIdx),
-			FreqMHz: int(r.freqMHz),
-			Error:   r.errMsg,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
+func (rt *Router) Handler() http.Handler { return newHTTPFront(rt, rt.mergedMetrics) }
 
 // memberHealthJSON is one member's slot in the fleet health document.
 type memberHealthJSON struct {
@@ -1442,9 +1252,4 @@ func (rt *Router) aggregateHealth() (uint16, []byte) {
 		body["degraded"] = degraded
 	}
 	return uint16(code), jsonBody(body)
-}
-
-func (rt *Router) handleRouteHealth(w http.ResponseWriter, _ *http.Request) {
-	status, body := rt.aggregateHealth()
-	writeControlResult(w, status, body)
 }

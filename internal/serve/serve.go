@@ -8,19 +8,29 @@
 //	POST   /v1/sessions                 create a session (optionally
 //	                                    calibrated and/or warm-started)
 //	POST   /v1/decide                   batched: one observation per
-//	                                    session, one OPP decision back
+//	                                    entry, one OPP decision back
 //	GET    /v1/sessions/{id}            session info + learning stats
 //	POST   /v1/sessions/{id}/checkpoint freeze the learnt state now
 //	DELETE /v1/sessions/{id}            drop the session and its
 //	                                    checkpoint
+//	GET    /v1/metrics                  JSON, or Prometheus text
+//	GET    /v1/trace                    sampled decide-path spans
+//	GET    /v1/members                  the fleet membership table
 //	GET    /healthz                     liveness + counters
+//
+// One HTTP front serves both tiers: Server.Handler and Router.Handler
+// build the same mux. Each route is a codec over the two operations a
+// binary connection carries — a control op, or a decide batch — so HTTP
+// and the wire protocol share one implementation of every operation at
+// a flat server and at a router alike.
 //
 // Sessions are independent and internally locked: decisions for
 // different sessions run concurrently, decisions for one session
-// serialise, so each session's governor sees a strict observation
-// sequence and remains exactly as deterministic as under sim.Run (the
-// serve tests drive a sim.Session through this API and require
-// byte-identical physical aggregates). The session map itself lives in
+// serialise in arrival order (within a batch as across batches), so
+// each session's governor sees a strict observation sequence and
+// remains exactly as deterministic as under sim.Run (the serve tests
+// drive a sim.Session through this API and require byte-identical
+// physical aggregates). The session map itself lives in
 // a sessionstore.Sharded store — mutex-striped shards, so two decides
 // for different sessions rarely touch the same lock even on the lookup.
 //
@@ -34,9 +44,8 @@
 // the store for unrestorable state left by crashed or ancient writers.
 //
 // The Server also speaks the binary wire protocol (TCPServer): the
-// observe→decide hot loop and, since the control frames landed, the
-// whole session lifecycle, so a router can drive a replica entirely
-// over one binary connection.
+// observe→decide hot loop and the whole session lifecycle, so a router
+// can drive a replica entirely over one binary connection.
 package serve
 
 import (
@@ -147,16 +156,6 @@ type Options struct {
 	// StoreShards overrides the session store's stripe count; <= 0 uses
 	// the sessionstore default.
 	StoreShards int
-	// CheckpointEverySession restores the pre-fix sweep behaviour: the
-	// periodic checkpoint loop re-serialises and re-writes every session
-	// each interval even when nothing decided since the last write. It
-	// exists so the soak harness can measure the write-amplification fix
-	// against its baseline; leave it false in production.
-	CheckpointEverySession bool
-	// DisableStoreShrink turns off the session store's delete-storm map
-	// rebuild (sessionstore.Sharded.DisableShrink) — the other soak
-	// baseline toggle; leave it false in production.
-	DisableStoreShrink bool
 	// Log receives operational and slow-request log records; nil
 	// discards them.
 	Log *slog.Logger
@@ -289,10 +288,6 @@ func New(opt Options) *Server {
 		}
 		ckpt = d
 	}
-	store := sessionstore.NewSharded[*session](opt.StoreShards)
-	if opt.DisableStoreShrink {
-		store.DisableShrink()
-	}
 	lg := opt.Log
 	if lg == nil {
 		lg = slog.New(slog.DiscardHandler)
@@ -306,7 +301,7 @@ func New(opt Options) *Server {
 		ckpt:     ckpt,
 		log:      lg,
 		tracer:   tr,
-		sessions: store,
+		sessions: sessionstore.NewSharded[*session](opt.StoreShards),
 		qpool:    qpage.NewPool(),
 		peers:    make(map[string]*client.Client),
 		done:     make(chan struct{}),
@@ -470,7 +465,7 @@ func (s *Server) checkpointSession(sess *session) (bool, error) {
 		sess.mu.Unlock()
 		return false, nil // nothing observed yet; keep any prior state
 	}
-	if epochs == sess.ckptEpochs && !s.opt.CheckpointEverySession {
+	if epochs == sess.ckptEpochs {
 		sess.mu.Unlock()
 		s.ckptSkipped.Add(1)
 		return false, nil // clean: the stored checkpoint already has this state

@@ -22,16 +22,16 @@ import (
 // frames into pooled requests; a worker drains everything the reader has
 // queued into one batch (connection-level batching: requests that arrive
 // while the previous batch is deciding coalesce into the next fan-out),
-// decides the batch through the same fanOut/session path as HTTP, and
+// decides the batch through the backend's decideBatch, and
 // writes the MsgDecide responses back with a single flush. Requests fail
 // independently, exactly like entries of the JSON batch.
 //
 // Connections carry the whole protocol: the observe→decide hot loop
 // plus MsgControl session-lifecycle frames (create, checkpoint, delete,
 // info, metrics, list) that execute as ordering barriers inside a
-// drain. The HTTP JSON API stays up beside it with identical semantics
-// — it is the human-facing control plane and the differential-testing
-// oracle; a router drives a replica purely over this transport.
+// drain. The HTTP front stays up beside it and calls the same control
+// and decideBatch implementations; a router drives a replica purely
+// over this transport.
 //
 // The listener is generic over a connBackend: a Server answers locally
 // (NewTCP); a Router answers by forwarding to the replica that owns
@@ -50,9 +50,10 @@ type TCPServer struct {
 }
 
 // connBackend answers the two frame families a binary connection
-// carries. decideBatch fills each request's answer in place; control
-// executes one lifecycle op and returns an HTTP-vocabulary status with
-// a JSON body.
+// carries; the HTTP front (newHTTPFront) calls the same two methods.
+// decideBatch fills each request's answer in place; control executes
+// one lifecycle op and returns an HTTP-vocabulary status with a JSON
+// body.
 type connBackend interface {
 	decideBatch(batch []*observeReq)
 	control(op byte, session string, body []byte) (status uint16, resp []byte)
@@ -66,12 +67,12 @@ type connBackend interface {
 // batchStarter is the optional pipelined refinement of connBackend: the
 // backend dispatches a batch asynchronously and returns a channel that
 // closes when every entry is answered. A connection whose backend
-// implements it (and reports a positive depth) overlaps batches — up to
-// pipelineDepth() dispatched batches wait for answers while the reader
-// keeps coalescing the next — instead of blocking the respond worker on
-// each batch in turn. The router implements it: a relay's round trips
-// to the replicas are exactly the waits worth overlapping, and one slow
-// replica then stalls only its own lane instead of the connection.
+// implements it overlaps batches — up to pipelineDepth dispatched
+// batches wait for answers while the reader keeps coalescing the next —
+// instead of blocking the respond worker on each batch in turn. The
+// router implements it: a relay's round trips to the replicas are
+// exactly the waits worth overlapping, and one slow replica then stalls
+// only its own lane instead of the connection.
 //
 // Requests reaching startBatch carry their raw observe payload (the
 // reader captures it), so a relaying backend forwards the encoded bytes
@@ -79,10 +80,13 @@ type connBackend interface {
 // client-visible stream is indistinguishable from the serial worker's.
 type batchStarter interface {
 	startBatch(batch []*observeReq) <-chan struct{}
-	// pipelineDepth bounds the dispatched-but-unanswered batches per
-	// connection; <= 0 disables pipelining (the serial worker runs).
-	pipelineDepth() int
 }
+
+// pipelineDepth bounds the dispatched-but-unanswered batches per
+// pipelined connection: how many decide batches a router keeps in flight
+// toward the replicas before it stops pulling new frames off a client
+// connection.
+const pipelineDepth = 4
 
 // NewTCP wraps srv with a binary-transport listener. Call Serve to
 // accept; Shutdown (or Close) before srv.Close so the final checkpoint
@@ -276,8 +280,7 @@ func (c *tcpConn) run() {
 	// pipelined worker; everything else keeps the serial one. The mode is
 	// fixed per connection — the reader captures raw payloads only when a
 	// relaying backend will forward them.
-	bs, _ := c.t.b.(batchStarter)
-	pipelined := bs != nil && bs.pipelineDepth() > 0
+	bs, pipelined := c.t.b.(batchStarter)
 
 	done := make(chan struct{})
 	go func() {
@@ -389,24 +392,7 @@ func (c *tcpConn) respond() {
 		epoch := c.t.b.memberEpoch()
 		for _, r := range queue {
 			var err error
-			if r.ctrl {
-				scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID, r.ctrlStatus, r.ctrlBody)
-				if err != nil {
-					// The response body alone can exceed the frame bound
-					// (a very large checkpoint): answer with an error
-					// instead of silently dropping the request id.
-					scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID,
-						500, errorBody(errf("control response exceeds the frame bound")))
-				}
-			} else {
-				// Cap the error message below the codec's 64 KiB field
-				// bound: a failed AppendDecide would otherwise drop the
-				// response and leave the client waiting on that id forever.
-				if len(r.errMsg) > maxWireErrLen {
-					r.errMsg = r.errMsg[:maxWireErrLen]
-				}
-				scratch, err = wire.AppendDecide(scratch[:0], r.m.ID, epoch, r.oppIdx, r.freqMHz, r.errMsg)
-			}
+			scratch, err = appendReply(scratch[:0], r, epoch)
 			if err != nil {
 				writeErr = true // cannot answer → the connection must die
 			} else if !writeErr {
@@ -429,6 +415,31 @@ func (c *tcpConn) respond() {
 			return
 		}
 	}
+}
+
+// appendReply encodes one request's answer onto dst: a control reply,
+// or a decide reply stamped with the membership epoch. Both connection
+// workers write through it. An error means the request cannot be
+// answered and the connection must die.
+func appendReply(dst []byte, r *observeReq, epoch uint32) ([]byte, error) {
+	if r.ctrl {
+		out, err := wire.AppendControlReply(dst, r.cm.ID, r.ctrlStatus, r.ctrlBody)
+		if err != nil {
+			// The response body alone can exceed the frame bound (a very
+			// large checkpoint): answer with an error instead of silently
+			// dropping the request id.
+			out, err = wire.AppendControlReply(dst, r.cm.ID,
+				500, errorBody(errf("control response exceeds the frame bound")))
+		}
+		return out, err
+	}
+	// Cap the error message below the codec's 64 KiB field bound: a
+	// failed AppendDecide would otherwise drop the response and leave the
+	// client waiting on that id forever.
+	if len(r.errMsg) > maxWireErrLen {
+		r.errMsg = r.errMsg[:maxWireErrLen]
+	}
+	return wire.AppendDecide(dst, r.m.ID, epoch, r.oppIdx, r.freqMHz, r.errMsg)
 }
 
 // flight is one dispatched unit of the pipelined worker: a run of
@@ -454,8 +465,7 @@ type flight struct {
 // completes before the control executes, and its reply takes its place
 // in the dispatch order.
 func (c *tcpConn) respondPipelined(bs batchStarter) {
-	depth := bs.pipelineDepth()
-	flights := make(chan flight, depth)
+	flights := make(chan flight, pipelineDepth)
 	wfail := make(chan struct{}) // closed by the writer when the conn's write half dies
 	wdone := make(chan struct{})
 	go func() {
@@ -468,7 +478,7 @@ func (c *tcpConn) respondPipelined(bs batchStarter) {
 
 	// outstanding tracks dispatched flights whose done has not been seen
 	// closed yet; the control barrier waits them out. Bounded: the
-	// flights channel applies backpressure at depth, and completed
+	// flights channel applies backpressure at pipelineDepth, and completed
 	// entries are pruned each drain.
 	var outstanding []<-chan struct{}
 	failed := false
@@ -595,18 +605,7 @@ func (c *tcpConn) writeReplies(flights <-chan flight, wfail chan struct{}) {
 			epoch := c.t.b.memberEpoch()
 			for _, r := range f.queue {
 				var err error
-				if r.ctrl {
-					scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID, r.ctrlStatus, r.ctrlBody)
-					if err != nil {
-						scratch, err = wire.AppendControlReply(scratch[:0], r.cm.ID,
-							500, errorBody(errf("control response exceeds the frame bound")))
-					}
-				} else {
-					if len(r.errMsg) > maxWireErrLen {
-						r.errMsg = r.errMsg[:maxWireErrLen]
-					}
-					scratch, err = wire.AppendDecide(scratch[:0], r.m.ID, epoch, r.oppIdx, r.freqMHz, r.errMsg)
-				}
+				scratch, err = appendReply(scratch[:0], r, epoch)
 				if err != nil {
 					fail() // cannot answer → the connection must die
 				} else if !failed {
@@ -662,8 +661,8 @@ func (c *tcpConn) writeReplies(flights <-chan flight, wfail chan struct{}) {
 }
 
 // decideBatch implements connBackend for the Server: every request in
-// the batch is answered through the same session/fan-out machinery as
-// the HTTP path. Requests for sessions this replica does not hold are
+// the batch, binary or JSON, is answered through fanOut and the session
+// lock. Requests for sessions this replica does not hold are
 // then offered to the forwarding pass — with a fleet table installed,
 // the ring owner answers them on behalf of a stale direct client.
 //
@@ -682,8 +681,7 @@ func (s *Server) decideBatch(batch []*observeReq) {
 	if timed {
 		start = time.Now()
 	}
-	fanOut(len(batch), func(i int) {
-		r := batch[i]
+	fanOut(batch, func(r *observeReq) {
 		tid := trace.TraceID(r.m.TraceID)
 		if tid == 0 {
 			tid = batchTrace

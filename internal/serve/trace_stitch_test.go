@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -107,13 +108,21 @@ func TestRoutedDecideTraceStitching(t *testing.T) {
 	}
 }
 
-// A misrouted decide — sent straight to the wrong replica with a
-// client-chosen trace id — must stitch the same way: the wrong replica
-// records a "forward" span naming the owner, the owner records the
-// "decide" span marked Forwarded, and both surface under the one id
-// from the router's aggregated /v1/trace.
+// A misrouted decide — sent straight to the wrong replica — must stitch
+// the same way whichever plane carried it: the wrong replica records a
+// "forward" span naming the owner, the owner records the "decide" span
+// marked Forwarded, and both surface under one id from the router's
+// aggregated /v1/trace. A binary decide carries a client-chosen trace
+// id; a JSON decide carries none and is head-sampled at the wrong
+// replica.
 func TestMisrouteForwardTraceStitching(t *testing.T) {
-	_, addrs := newFleet(t, 2, serve.Options{})
+	// Two single-replica fleets: each replica samples into its own ring.
+	var reps []*replica
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		r, a := newFleet(t, 1, serve.Options{Tracer: trace.New(trace.Options{SampleProb: 1})})
+		reps, addrs = append(reps, r...), append(addrs, a...)
+	}
 	// NewRouter pushes the membership table to both replicas, which is
 	// what arms replica-side forwarding.
 	rt, err := serve.NewRouter(addrs, serve.RouterOptions{ProbeEvery: -1})
@@ -127,59 +136,77 @@ func TestMisrouteForwardTraceStitching(t *testing.T) {
 	}
 	defer rcl.Close()
 
-	const id = "fwd-0"
-	body := fmt.Sprintf(`{"id":%q,"governor":"rtm","seed":7}`, id)
-	if st, resp, err := rcl.CreateSession([]byte(body)); err != nil || st != http.StatusCreated {
-		t.Fatalf("create: status %d err %v (%s)", st, err, resp)
-	}
-	owner, ok := rt.Owner(id)
-	if !ok {
-		t.Fatal("ring places nothing")
-	}
-	wrong := addrs[0]
-	if wrong == owner {
-		wrong = addrs[1]
-	}
-	wcl, err := client.Dial(wrong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wcl.Close()
-
-	const tid = uint64(0x1234567890abcdef)
-	out := make([]client.Decision, 1)
-	err = wcl.DecideBatchTraced([]string{id}, []governor.Observation{steadyObs()}, out, []uint64{tid})
-	if err != nil || out[0].Err != "" {
-		t.Fatalf("misrouted decide: %v / %q", err, out[0].Err)
-	}
-
-	spans := fetchSpans(t, rcl, fmt.Sprintf(`{"trace":%q}`, trace.TraceID(tid).String()))
-	var forward, forwardedDecide bool
-	for _, sp := range spans {
-		if sp.Trace != trace.TraceID(tid) {
-			t.Fatalf("span under wrong trace: %+v", sp)
-		}
-		switch sp.Stage {
-		case "forward":
-			forward = true
-			if sp.Replica != owner {
-				t.Errorf("forward span names replica %q, want owner %q", sp.Replica, owner)
+	const tid = trace.TraceID(0x1234567890abcdef)
+	inputs := []struct {
+		name string
+		tid  trace.TraceID // the id the spans must carry; 0: minted at the wrong replica
+		// decide sends one misrouted decide for id to the wrong replica.
+		decide func(t *testing.T, wrong *replica, wrongAddr, id string)
+	}{
+		{"binary", tid, func(t *testing.T, _ *replica, wrongAddr, id string) {
+			wcl, err := client.Dial(wrongAddr)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sp.Session != id {
-				t.Errorf("forward span session %q, want %s", sp.Session, id)
+			defer wcl.Close()
+			out := make([]client.Decision, 1)
+			err = wcl.DecideBatchTraced([]string{id}, []governor.Observation{steadyObs()}, out, []uint64{uint64(tid)})
+			if err != nil || out[0].Err != "" {
+				t.Fatalf("misrouted decide: %v / %q", err, out[0].Err)
 			}
-		case "decide":
-			if sp.Forwarded {
-				forwardedDecide = true
-				if sp.Session != id {
-					t.Errorf("forwarded decide session %q, want %s", sp.Session, id)
+		}},
+		{"json", 0, func(t *testing.T, wrong *replica, _ string, id string) {
+			hs := httptest.NewServer(wrong.srv.Handler())
+			defer hs.Close()
+			h := &testServer{t: t, srv: wrong.srv, ts: hs}
+			var resp struct {
+				Decisions []decision `json:"decisions"`
+			}
+			items := []decideItem{{Session: id, Obs: obsFromGov(steadyObs())}}
+			if st := h.post("/v1/decide", map[string]any{"requests": items}, &resp); st != http.StatusOK ||
+				len(resp.Decisions) != 1 || resp.Decisions[0].Error != "" {
+				t.Fatalf("misrouted JSON decide: status %d %+v", st, resp.Decisions)
+			}
+		}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			id := "fwd-" + in.name
+			body := fmt.Sprintf(`{"id":%q,"governor":"rtm","seed":7}`, id)
+			if st, resp, err := rcl.CreateSession([]byte(body)); err != nil || st != http.StatusCreated {
+				t.Fatalf("create: status %d err %v (%s)", st, err, resp)
+			}
+			owner, ok := rt.Owner(id)
+			if !ok {
+				t.Fatal("ring places nothing")
+			}
+			wrong := 0
+			if addrs[wrong] == owner {
+				wrong = 1
+			}
+			in.decide(t, reps[wrong], addrs[wrong], id)
+
+			spans := fetchSpans(t, rcl, fmt.Sprintf(`{"session":%q}`, id))
+			var forward, forwardedDecide bool
+			for _, sp := range spans {
+				if sp.Trace != spans[0].Trace || (in.tid != 0 && sp.Trace != in.tid) {
+					t.Fatalf("span under wrong trace: %+v (all %+v)", sp, spans)
+				}
+				switch sp.Stage {
+				case "forward":
+					forward = true
+					if sp.Replica != owner {
+						t.Errorf("forward span names replica %q, want owner %q", sp.Replica, owner)
+					}
+				case "decide":
+					forwardedDecide = forwardedDecide || sp.Forwarded
 				}
 			}
-		}
-	}
-	if !forward || !forwardedDecide {
-		t.Fatalf("stitched misroute incomplete (forward=%v forwardedDecide=%v): %+v",
-			forward, forwardedDecide, spans)
+			if !forward || !forwardedDecide {
+				t.Fatalf("stitched misroute incomplete (forward=%v forwardedDecide=%v): %+v",
+					forward, forwardedDecide, spans)
+			}
+		})
 	}
 }
 
