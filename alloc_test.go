@@ -2,11 +2,13 @@ package qgov_test
 
 // Allocation guardrails for the hot paths the benchmarks measure. The
 // per-epoch paths (Q update, EPD sampling, EWMA, power model, cluster
-// epoch) must be allocation-free in steady state, and a whole simulation
+// epoch, the RTM and ML-DTM decides) must be allocation-free in steady
+// state, and a whole simulation
 // run must cost only its setup — if a per-frame allocation sneaks back
 // into the loop, a 1000-frame run blows straight through these bounds.
 
 import (
+	"runtime"
 	"testing"
 
 	"qgov/internal/core"
@@ -69,6 +71,33 @@ func TestClusterEpochAllocFree(t *testing.T) {
 	assertAllocs(t, "Cluster.Execute", 0, func() {
 		c.Execute(cycles, 120e-6, 0.040)
 	})
+}
+
+// assertDecideAllocFree counts heap allocations over 10k steady-state
+// decides after a 2k-epoch warm-up and requires none. It reads the
+// runtime's malloc counter directly: testing.AllocsPerRun divides by the
+// run count in integers, so an amortised append (one allocation every
+// few hundred decides) would read as zero there.
+func assertDecideAllocFree(t *testing.T, g governor.Governor) {
+	t.Helper()
+	l := newSteadyLoop(g, 2000)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10_000; i++ {
+		l.step()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%s.Decide: %d allocations over 10000 steady-state decides, want 0", g.Name(), n)
+	}
+}
+
+func TestRTMDecideAllocFree(t *testing.T) {
+	assertDecideAllocFree(t, core.New(core.DefaultConfig()))
+}
+
+func TestMLDTMDecideAllocFree(t *testing.T) {
+	assertDecideAllocFree(t, governor.NewMLDTM())
 }
 
 // A full closed-loop run may allocate only per-run setup (governor,

@@ -3,7 +3,8 @@ package qgov_test
 // One benchmark per table and figure of the paper's evaluation — each
 // regenerates its experiment and prints the rows the paper reports — plus
 // micro-benchmarks for the hot paths (Q update, EPD sampling, EWMA, the
-// power model, a full simulated epoch, the FFT kernel).
+// power model, the RTM and ML-DTM decides, a full simulated epoch, the FFT
+// kernel).
 //
 //	go test -bench=. -benchmem
 //
@@ -267,6 +268,68 @@ func BenchmarkSimEpoch(b *testing.B) {
 	}
 	b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
 }
+
+// steadyLoop drives a learning governor closed-loop on the A15 table
+// against a noisy demand of 24–31 Mcycles per core per 40 ms frame,
+// reusing one observation, so a step costs the decide and a few
+// arithmetic operations. Tables are private (no page pool): the loop
+// measures the learner, not copy-on-write faults.
+type steadyLoop struct {
+	g     governor.Governor
+	table platform.OPPTable
+	rng   *xrand.Rand
+	obs   governor.Observation
+	idx   int
+}
+
+// newSteadyLoop resets g and runs warmup decides.
+func newSteadyLoop(g governor.Governor, warmup int) *steadyLoop {
+	table := platform.A15Table()
+	g.Reset(governor.Context{Table: table, NumCores: 4, NormFreq: table.NormFreqs(), PeriodS: 0.040, Seed: 1})
+	l := &steadyLoop{
+		g: g, table: table, rng: xrand.New(1),
+		obs: governor.Observation{Cycles: make([]uint64, 4), Util: make([]float64, 4), PeriodS: 0.040, PowerW: 2, TempC: 50},
+	}
+	l.idx = g.Decide(governor.Observation{Epoch: -1})
+	for i := 0; i < warmup; i++ {
+		l.step()
+	}
+	return l
+}
+
+// step feeds the epoch that ran at the last chosen point and decides the
+// next.
+func (l *steadyLoop) step() {
+	demand := 24e6 * (1 + 0.3*l.rng.Float64())
+	exec := demand / l.table[l.idx].FreqHz()
+	for c := range l.obs.Cycles {
+		l.obs.Cycles[c] = uint64(demand)
+		l.obs.Util[c] = min(exec/l.obs.PeriodS, 1)
+	}
+	l.obs.ExecTimeS = exec
+	l.obs.WallTimeS = max(exec, l.obs.PeriodS)
+	l.obs.OPPIdx = l.idx
+	l.idx = l.g.Decide(l.obs)
+	l.obs.Epoch++
+}
+
+// benchDecide measures one steady-state decide after a 2k-epoch warm-up.
+func benchDecide(b *testing.B, g governor.Governor) {
+	l := newSteadyLoop(g, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.step()
+	}
+}
+
+// BenchmarkRTMDecide measures the RTM.Decide layer of the serving decide
+// path: pay-off, Q update, convergence tracking and action choice.
+func BenchmarkRTMDecide(b *testing.B) { benchDecide(b, core.New(core.DefaultConfig())) }
+
+// BenchmarkMLDTMDecide measures the ML-DTM baseline's decide: four
+// per-core Q updates, convergence tracking and the per-core votes.
+func BenchmarkMLDTMDecide(b *testing.B) { benchDecide(b, governor.NewMLDTM()) }
 
 // BenchmarkOndemandDecision measures the baseline governor's decision.
 func BenchmarkOndemandDecision(b *testing.B) {

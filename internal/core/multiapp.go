@@ -103,7 +103,7 @@ func (m *MultiRTM) Reset(ctx governor.Context) {
 		m.slacks[i] = NewSlackTracker(m.cfg.SlackWindow)
 	}
 	m.cfg.Epsilon.Reset()
-	m.tracker = governor.NewConvergenceTracker(m.cfg.StableEpochs)
+	m.tracker = governor.NewConvergenceTracker(m.cfg.StableEpochs, m.space.NumStates())
 	if ctx.NormFreq != nil {
 		m.normFreq = ctx.NormFreq // shared read-only precompute
 	} else {
@@ -167,7 +167,13 @@ func (m *MultiRTM) DecideMulti(obs MultiObservation) int {
 		v := float64(m.table.Visits(m.prevState, m.prevAction))
 		alpha = m.cfg.Alpha * m.cfg.AlphaDecayK / (m.cfg.AlphaDecayK + v)
 	}
+	// The tracker watches the unmasked argmax policy; the update moves
+	// only the updated state's row, so only its entry can change.
+	before := m.table.BestAction(m.prevState)
 	m.table.Update(m.prevState, m.prevAction, reward, next, alpha, m.cfg.Discount)
+	if m.table.BestAction(m.prevState) != before {
+		m.tracker.Flip(m.prevState)
+	}
 	m.greedy[m.prevState] = m.table.BestActionSticky(m.prevState, m.greedy[m.prevState], m.cfg.GreedyMargin)
 	m.prevState = next
 
@@ -181,7 +187,7 @@ func (m *MultiRTM) DecideMulti(obs MultiObservation) int {
 
 	// ε advances on the binding app's distance from the target: until the
 	// worst-off application is stable, keep exploring.
-	m.tracker.Observe(m.table.GreedyPolicy())
+	m.tracker.EndEpoch()
 	m.cfg.Epsilon.Advance(m.slacks[binding].L()-m.cfg.Reward.Target, m.tracker.Quiet())
 	m.epoch++
 	m.prevAction = action

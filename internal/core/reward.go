@@ -19,7 +19,13 @@ import (
 type SlackTracker struct {
 	Window int // number of epochs in D; 0 = since start
 
-	ratios []float64 // per-epoch slack ratios, newest last (windowed mode)
+	// ratios holds the last Window per-epoch slack ratios, oldest first
+	// (windowed mode). Its backing array is allocated once, at the first
+	// Observe, and a full window shifts down by one in place: the window
+	// stays contiguous in arrival order, so L is the same ordered Kahan
+	// mean (stats.Mean) over the same values, bit for bit, without a
+	// reallocation per epoch.
+	ratios []float64
 	sum    float64
 	count  int
 	l      float64
@@ -50,9 +56,14 @@ func (t *SlackTracker) Observe(completionS, refS float64) float64 {
 		t.l = t.sum / float64(t.count)
 		return t.l
 	}
-	t.ratios = append(t.ratios, ratio)
-	if len(t.ratios) > t.Window {
-		t.ratios = t.ratios[1:]
+	if t.ratios == nil {
+		t.ratios = make([]float64, 0, t.Window)
+	}
+	if len(t.ratios) < t.Window {
+		t.ratios = append(t.ratios, ratio)
+	} else {
+		copy(t.ratios, t.ratios[1:])
+		t.ratios[len(t.ratios)-1] = ratio
 	}
 	t.l = stats.Mean(t.ratios)
 	return t.l
@@ -70,7 +81,7 @@ func (t *SlackTracker) LastRatio() float64 { return t.last }
 
 // Reset clears the tracker.
 func (t *SlackTracker) Reset() {
-	t.ratios = nil
+	t.ratios = t.ratios[:0]
 	t.sum, t.l, t.prevL, t.last = 0, 0, 0, 0
 	t.count = 0
 }

@@ -126,16 +126,20 @@ type RTM struct {
 	lastCtrl   int // controller of the epoch in flight (per-core mode)
 	epoch      int
 
-	// Per-epoch scratch, reused so Decide allocates nothing in steady
-	// state (the explHist append amortises to zero).
-	fpScratch   []int
+	// Per-epoch scratch, reused so Decide allocates nothing.
 	predScratch []float64
 
 	explorations  int
 	exploredPairs []uint64 // distinct (table, state, action) experiments, one bit each
-	explHist      []int32  // cumulative explorations after each epoch
-	calibrated    bool
-	ccSeen        bool // auto-ranging primed
+	// explRing holds the cumulative exploration count after each of the
+	// last StableEpochs epochs, at index epoch mod StableEpochs: the
+	// tracker dates convergence epoch − StableEpochs + 1, so when it
+	// converges the count at that epoch is still in the ring and is
+	// latched into explAtConv. Built on the first decide.
+	explRing   []int32
+	explAtConv int
+	calibrated bool
+	ccSeen     bool // auto-ranging primed
 
 	// restored is the staged Checkpointer state; Reset applies it (see
 	// LoadState in checkpoint.go).
@@ -183,17 +187,10 @@ func (r *RTM) DecisionOverheadS() float64 { return r.cfg.OverheadS }
 // the slack-directed EPD concentrates on the candidates that can matter.
 func (r *RTM) Explorations() int { return r.explorations }
 
-// ExplorationsAt implements governor.ExplorationCurve: the cumulative
-// exploration count after the given epoch completed.
-func (r *RTM) ExplorationsAt(epoch int) int {
-	if epoch < 0 || len(r.explHist) == 0 {
-		return 0
-	}
-	if epoch >= len(r.explHist) {
-		return r.explorations
-	}
-	return int(r.explHist[epoch])
-}
+// ExplorationsAtConvergence implements governor.ExplorationCurve: the
+// cumulative exploration count after the epoch ConvergedAtEpoch reports,
+// latched when the tracker last converged.
+func (r *RTM) ExplorationsAtConvergence() int { return r.explAtConv }
 
 // ConvergedAtEpoch implements governor.LearningStats.
 func (r *RTM) ConvergedAtEpoch() int { return r.tracker.ConvergedAt() }
@@ -341,16 +338,15 @@ func (r *RTM) Reset(ctx governor.Context) {
 	if r.restored != nil {
 		r.cfg.Epsilon.Restore(r.restored.Epsilon, r.restored.EpsEpoch)
 	}
-	r.tracker = governor.NewConvergenceTracker(r.cfg.StableEpochs)
+	r.tracker = governor.NewConvergenceTracker(r.cfg.StableEpochs, nTables*nStates)
 	// Two flips per window: one for a state crossing the visit threshold
-	// into the fingerprint, one for a genuine late adjustment.
+	// into the tracked policy, one for a genuine late adjustment.
 	r.tracker.MaxFlips = 2
 	if ctx.NormFreq != nil {
 		r.normFreq = ctx.NormFreq // shared read-only precompute
 	} else {
 		r.normFreq = ctx.Table.NormFreqs()
 	}
-	r.fpScratch = make([]int, 0, nTables*nStates)
 	r.predScratch = make([]float64, ctx.NumCores)
 	r.prevState = make([]int, nTables)
 	r.prevAction = 0
@@ -358,7 +354,7 @@ func (r *RTM) Reset(ctx governor.Context) {
 	r.epoch = 0
 	r.explorations = 0
 	r.exploredPairs = make([]uint64, (nTables*nStates*nActions+63)/64)
-	r.explHist = nil
+	r.explAtConv = 0
 	r.ccSeen = false
 	if r.restored != nil && r.restored.CCMax > r.restored.CCMin {
 		// The restored tables were trained against the checkpointed range:
@@ -423,9 +419,8 @@ func (r *RTM) Decide(obs governor.Observation) int {
 	// where EPD earns its Table II advantage: slack-directed exploration
 	// ranks the useful actions sooner, the policy goes quiet sooner, and ε
 	// collapses with it.
-	r.tracker.Observe(r.greedyFingerprint())
+	r.closeEpoch()
 	r.cfg.Epsilon.Advance(inst-r.cfg.Reward.Target, r.tracker.Quiet())
-	r.explHist = append(r.explHist, int32(r.explorations))
 	r.epoch++
 	r.prevAction = action
 	return action
@@ -466,9 +461,34 @@ func (r *RTM) effectiveAlpha(t, state, action int) float64 {
 	return r.cfg.Alpha * r.cfg.AlphaDecayK / (r.cfg.AlphaDecayK + v)
 }
 
-// refreshGreedy re-evaluates the sticky greedy choice of one state.
+// refreshGreedy re-evaluates the sticky greedy choice of a state just
+// updated, and marks its convergence entry if the tracked value moved.
+// The update added exactly one visit to the row, so the entry's value
+// before it follows from the old greedy choice and one visit fewer.
 func (r *RTM) refreshGreedy(t, state int) {
-	r.greedy[t][state] = r.tables[t].BestActionSticky(state, r.greedy[t][state], r.cfg.GreedyMargin)
+	old := r.greedy[t][state]
+	now := r.tables[t].BestActionSticky(state, old, r.cfg.GreedyMargin)
+	r.greedy[t][state] = now
+	visits := r.tables[t].RowVisits(state)
+	if governor.TrackedAction(visits-1, old) != governor.TrackedAction(visits, now) {
+		r.tracker.Flip(t*r.space.NumStates() + state)
+	}
+}
+
+// closeEpoch records the epoch's cumulative exploration count and closes
+// the epoch in the convergence tracker, latching the count at the
+// convergence epoch whenever the tracker (re-)converges. The tracker
+// dates convergence at most StableEpochs−1 epochs back, so the ring needs
+// only its window.
+func (r *RTM) closeEpoch() {
+	n := r.tracker.StableEpochs
+	if r.explRing == nil {
+		r.explRing = make([]int32, n)
+	}
+	r.explRing[r.epoch%n] = int32(r.explorations)
+	if r.tracker.EndEpoch() {
+		r.explAtConv = int(r.explRing[r.tracker.ConvergedAt()%n])
+	}
 }
 
 // decidePerCore runs the rotating independent-table scheme: the epoch's
@@ -541,28 +561,6 @@ func (r *RTM) selectActionNoCount(t, state int, l float64) (int, bool) {
 		return a, false // a repeat visit, not a new exploration
 	}
 	return r.greedy[t][state], false
-}
-
-// greedyFingerprint concatenates the sticky greedy policies of all tables,
-// masking states with fewer than minRowVisits updates: an under-sampled
-// row has not learnt anything yet, so its (still essentially random)
-// greedy choice flipping must not count as "the policy is still moving".
-// A state entering the fingerprint as it crosses the threshold costs one
-// tolerated flip.
-func (r *RTM) greedyFingerprint() []int {
-	const minRowVisits = 20
-	out := r.fpScratch[:0]
-	for ti, g := range r.greedy {
-		for s, a := range g {
-			if r.tables[ti].RowVisits(s) < minRowVisits {
-				out = append(out, -1)
-			} else {
-				out = append(out, a)
-			}
-		}
-	}
-	r.fpScratch = out
-	return out
 }
 
 func init() {

@@ -274,7 +274,10 @@ func finiteQ(rep *loadgen.Report, q float64) float64 {
 	return v
 }
 
-// RunSoak executes one soak run and measures it.
+// RunSoak executes one soak run and measures it, then checks the served
+// decisions against the in-process oracle (loadgen.Local) replaying the
+// same schedule: a checksum mismatch is returned as an error, with the
+// measured result.
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	target, srvs, rt, cleanup, err := soakTopology(cfg)
 	if err != nil {
@@ -436,6 +439,21 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 	if rep.CreateErrors != 0 || rep.DeleteErrors != 0 {
 		return res, fmt.Errorf("soak: control-plane errors: %d create, %d delete", rep.CreateErrors, rep.DeleteErrors)
+	}
+
+	// The served decisions must be the in-process oracle's: replay the
+	// same generated schedule into loadgen.Local, after every timing and
+	// memory reading above, and compare the order-independent checksums.
+	og, err := loadgen.New(cfg.Spec)
+	if err != nil {
+		return res, err
+	}
+	oracle, err := loadgen.Run(og, loadgen.NewLocal(), loadgen.RunOptions{Lanes: cfg.Lanes, BatchMax: cfg.BatchMax})
+	if err != nil {
+		return res, fmt.Errorf("soak: oracle replay: %w", err)
+	}
+	if oracle.Checksum != rep.Checksum {
+		return res, fmt.Errorf("soak: served decision checksum %016x differs from the oracle's %016x", rep.Checksum, oracle.Checksum)
 	}
 	return res, nil
 }

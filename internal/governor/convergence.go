@@ -36,14 +36,35 @@ type ExplorationStats interface {
 	ConvergedFraction() float64
 }
 
-// ExplorationCurve is implemented by learners that record their cumulative
-// exploration count per epoch, so the harness can report explorations
-// *before convergence* — the Table II quantity: exploratory decisions spent
-// getting to a stable policy, not the asymptotic tail after it.
+// ExplorationCurve is implemented by learners that can report their
+// cumulative exploration count at the convergence epoch, so the harness
+// can report explorations *before convergence* — the Table II quantity:
+// exploratory decisions spent getting to a stable policy, not the
+// asymptotic tail after it.
 type ExplorationCurve interface {
-	// ExplorationsAt returns the cumulative exploration count after the
-	// given epoch completed; past the last epoch it returns the total.
-	ExplorationsAt(epoch int) int
+	// ExplorationsAtConvergence returns the cumulative exploration count
+	// after the epoch ConvergedAtEpoch reports completed. The learner
+	// latches it each time its tracker converges or re-converges, so it
+	// keeps no per-epoch history; the value is meaningful only while
+	// ConvergedAtEpoch is non-negative.
+	ExplorationsAtConvergence() int
+}
+
+// MinRowVisits masks under-sampled states out of convergence tracking: a
+// state with fewer updates has not learnt anything yet, so its (still
+// essentially random) greedy choice flipping must not count as "the
+// policy is still moving". A state entering the tracked policy as it
+// crosses the threshold costs one tolerated flip.
+const MinRowVisits = 20
+
+// TrackedAction is a state's entry in the policy the RTM and ML-DTM
+// convergence trackers watch: its sticky greedy action, or -1 while the
+// state has fewer than MinRowVisits updates.
+func TrackedAction(rowVisits, greedy int) int {
+	if rowVisits < MinRowVisits {
+		return -1
+	}
+	return greedy
 }
 
 // ConvergenceTracker reports when the greedy policy stabilised: the start
@@ -59,6 +80,12 @@ type ExplorationCurve interface {
 // constant (an untouched Q-table always returns action 0): the early quiet
 // stretch must not masquerade as convergence once real learning starts
 // flipping entries.
+//
+// The tracker never sees the policy itself. A learner knows which entries
+// its epoch's update touched and what they held before, so it reports each
+// entry whose value changed with Flip and ends the epoch with EndEpoch:
+// O(changed entries) work per epoch and no copy of the policy. The very
+// first epoch counts every entry as changed, whatever was flipped.
 type ConvergenceTracker struct {
 	// StableEpochs is the window length.
 	StableEpochs int
@@ -66,14 +93,15 @@ type ConvergenceTracker struct {
 	// the window.
 	MaxFlips int
 
-	// prev holds action indices (a DVFS ladder has ≤ a few dozen points)
-	// and lastFlip/flipRing hold epoch numbers and per-epoch flip counts;
-	// the narrow element types keep the tracker's three per-session arrays
-	// at ~a third of their []int size, which matters when a serving fleet
-	// holds one tracker per live session.
-	prev      []int16
-	lastFlip  []int32 // epoch each state's greedy action last changed
+	entries int
+	// lastFlip and flipRing hold epoch numbers and per-epoch flip counts;
+	// int32 keeps them at half their []int size, which matters when a
+	// serving fleet holds one tracker per live session. Both are built by
+	// the first EndEpoch, so a session that never decides never pays for
+	// them.
+	lastFlip  []int32 // epoch each entry last changed
 	flipRing  []int32
+	flips     int // changes marked in the epoch being observed
 	ringIdx   int
 	windowSum int
 	seen      int
@@ -81,49 +109,51 @@ type ConvergenceTracker struct {
 	epoch     int
 }
 
-// NewConvergenceTracker returns a tracker requiring the given stable run
-// length (values < 1 are raised to 1) with a one-flip tolerance.
-func NewConvergenceTracker(stableEpochs int) *ConvergenceTracker {
+// NewConvergenceTracker returns a tracker over a policy of the given
+// number of entries, requiring the given stable run length (values < 1
+// are raised to 1), with a one-flip tolerance.
+func NewConvergenceTracker(stableEpochs, entries int) *ConvergenceTracker {
 	if stableEpochs < 1 {
 		stableEpochs = 1
 	}
 	return &ConvergenceTracker{
 		StableEpochs: stableEpochs,
 		MaxFlips:     1,
-		flipRing:     make([]int32, stableEpochs),
+		entries:      entries,
 		converged:    -1,
 	}
 }
 
-// Observe records the greedy policy (one chosen action per state) for the
-// current epoch. A policy of different length counts as fully changed.
-func (c *ConvergenceTracker) Observe(policy []int) {
-	flips := 0
-	if c.prev == nil || len(policy) != len(c.prev) {
-		flips = len(policy)
+// Flip records that policy entry i holds a different value at the end of
+// the epoch being observed than at the end of the previous one. Callers
+// mark each changed entry once per epoch; a repeated mark of the same
+// entry in one epoch is ignored.
+func (c *ConvergenceTracker) Flip(i int) {
+	if c.lastFlip == nil || c.lastFlip[i] == int32(c.epoch) {
+		return // first epoch (every entry counts) or already marked
+	}
+	c.lastFlip[i] = int32(c.epoch)
+	c.flips++
+}
+
+// EndEpoch closes the epoch being observed: its marked changes enter the
+// window, and the convergence verdict is updated. It reports whether the
+// tracker converged (or re-converged) in this epoch, the moment a learner
+// latches any per-epoch quantity it reports at ConvergedAt.
+func (c *ConvergenceTracker) EndEpoch() (converged bool) {
+	flips := c.flips
+	if c.lastFlip == nil {
+		flips = c.entries
 		if flips == 0 {
 			flips = 1
 		}
-		c.lastFlip = make([]int32, len(policy))
+		c.lastFlip = make([]int32, c.entries)
 		for i := range c.lastFlip {
 			c.lastFlip[i] = int32(c.epoch)
 		}
-	} else {
-		for i := range policy {
-			if int16(policy[i]) != c.prev[i] {
-				flips++
-				c.lastFlip[i] = int32(c.epoch)
-			}
-		}
+		c.flipRing = make([]int32, c.StableEpochs)
 	}
-	if cap(c.prev) < len(policy) {
-		c.prev = make([]int16, len(policy))
-	} else {
-		c.prev = c.prev[:len(policy)]
-	}
-	for i, a := range policy {
-		c.prev[i] = int16(a)
-	}
+	c.flips = 0
 
 	c.windowSum += flips - int(c.flipRing[c.ringIdx])
 	c.flipRing[c.ringIdx] = int32(flips)
@@ -136,15 +166,14 @@ func (c *ConvergenceTracker) Observe(policy []int) {
 		if c.windowSum <= c.MaxFlips {
 			if c.converged < 0 {
 				c.converged = c.epoch - c.StableEpochs + 1
-				if c.converged < 0 {
-					c.converged = 0
-				}
+				converged = true
 			}
 		} else {
 			c.converged = -1
 		}
 	}
 	c.epoch++
+	return converged
 }
 
 // ConvergedAt returns the start of the current stable window, or -1 while
@@ -181,11 +210,9 @@ func (c *ConvergenceTracker) StableFraction() float64 {
 
 // Reset clears the tracker.
 func (c *ConvergenceTracker) Reset() {
-	c.prev = nil
 	c.lastFlip = nil
-	for i := range c.flipRing {
-		c.flipRing[i] = 0
-	}
+	c.flipRing = nil
+	c.flips = 0
 	c.ringIdx = 0
 	c.windowSum = 0
 	c.seen = 0

@@ -180,7 +180,7 @@ func (g *MLDTM) Reset(ctx Context) {
 	g.lastAction = 0
 	g.epoch = 0
 	g.explorations = 0
-	g.tracker = NewConvergenceTracker(g.StableEpochs)
+	g.tracker = NewConvergenceTracker(g.StableEpochs, rows)
 	g.tracker.MaxFlips = 2 // mirror the RTM's tolerance for comparability
 	if g.restored != nil {
 		g.epoch = g.restored.Epoch
@@ -351,10 +351,22 @@ func (g *MLDTM) Decide(obs Observation) int {
 		qrow, vrow := g.tab.MutRow(g.row(c, sPrev))
 		qrow[g.lastAction] = (1-alpha)*qrow[g.lastAction] + alpha*(r+g.Discount*best)
 		vrow[g.lastAction]++
-		// Sticky greedy refresh for the updated state.
+		// Sticky greedy refresh for the updated state, marking its
+		// convergence entry if the tracked value moved. The masking is
+		// the proposed RTM's, so the Table III comparison measures the
+		// same notion of stability on both sides.
 		cur := g.greedy[c][sPrev]
+		now := cur
 		if am := argmaxOf(qrow); qrow[am] > qrow[cur]+g.GreedyMargin {
-			g.greedy[c][sPrev] = am
+			now = am
+		}
+		g.greedy[c][sPrev] = now
+		var visits int
+		for _, v := range vrow {
+			visits += int(v)
+		}
+		if TrackedAction(visits-1, cur) != TrackedAction(visits, now) {
+			g.tracker.Flip(g.row(c, sPrev))
 		}
 		g.lastState[c] = sNow
 	}
@@ -383,31 +395,8 @@ func (g *MLDTM) Decide(obs Observation) int {
 	}
 	g.epoch++
 	g.lastAction = vote
-	g.tracker.Observe(g.greedyPolicy())
+	g.tracker.EndEpoch()
 	return vote
-}
-
-// greedyPolicy flattens the per-core sticky greedy actions into one
-// fingerprint, masking under-sampled states exactly as the proposed RTM
-// does (see RTM.greedyFingerprint) so the Table III comparison measures
-// the same notion of stability on both sides.
-func (g *MLDTM) greedyPolicy() []int {
-	const minRowVisits = 20
-	out := make([]int, 0, len(g.greedy)*g.UtilBands)
-	for c, per := range g.greedy {
-		for s, a := range per {
-			var rowVisits int
-			for _, v := range g.tab.VRow(g.row(c, s)) {
-				rowVisits += int(v)
-			}
-			if rowVisits < minRowVisits {
-				out = append(out, -1)
-			} else {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }
 
 func maxOf(xs []float64) float64 {

@@ -106,41 +106,49 @@ func TestMLDTMOverheadPositive(t *testing.T) {
 }
 
 func TestConvergenceTracker(t *testing.T) {
-	// Window 3, tolerance 1 flip. The very first Observe counts as a full
-	// change (len(policy) flips), so the window must drain before any
-	// convergence is possible.
-	tr := NewConvergenceTracker(3)
-	a := []int{1, 2, 3}
-	b := []int{1, 2, 4} // one entry differs from a
-	tr.Observe(a)       // epoch 0: 3 flips (first sight)
-	tr.Observe(a)       // epoch 1: 0 flips
-	tr.Observe(a)       // epoch 2: window holds 3 flips -> not converged
-	if tr.ConvergedAt() >= 0 {
+	// Window 3, tolerance 1 flip, three entries. The very first epoch
+	// counts as a full change (3 flips) whatever is marked, so the window
+	// must drain before any convergence is possible.
+	tr := NewConvergenceTracker(3, 3)
+	tr.Flip(0)                                  // ignored: the first epoch already counts every entry
+	tr.EndEpoch()                               // epoch 0: 3 flips (first sight)
+	tr.EndEpoch()                               // epoch 1: 0 flips
+	if tr.EndEpoch() || tr.ConvergedAt() >= 0 { // epoch 2: window holds 3 flips
 		t.Fatal("converged while the first-sight flips were still in window")
 	}
-	tr.Observe(a) // epoch 3: window {0,0,0} -> converged at window start
+	if !tr.EndEpoch() { // epoch 3: window {0,0,0} -> converged at window start
+		t.Fatal("EndEpoch did not report the convergence")
+	}
 	if tr.ConvergedAt() != 1 {
 		t.Fatalf("ConvergedAt = %d, want 1", tr.ConvergedAt())
 	}
-	// A single flip is within tolerance: stays converged.
-	tr.Observe(b) // epoch 4: 1 flip
-	if tr.ConvergedAt() != 1 {
-		t.Fatalf("single tolerated flip reopened: %d", tr.ConvergedAt())
+	// A single flip is within tolerance: stays converged. Marking the
+	// same entry twice in one epoch is one change.
+	tr.Flip(2)
+	tr.Flip(2)
+	if tr.EndEpoch() { // epoch 4: 1 flip
+		t.Fatal("EndEpoch reported a convergence that was already standing")
+	}
+	if tr.ConvergedAt() != 1 || tr.WindowFlips() != 1 {
+		t.Fatalf("single tolerated flip: ConvergedAt %d, WindowFlips %d", tr.ConvergedAt(), tr.WindowFlips())
 	}
 	// Two flips inside one window reopen learning.
-	tr.Observe(a) // epoch 5: 1 flip -> window {0,1,1} = 2 > tolerance
+	tr.Flip(2)
+	tr.EndEpoch() // epoch 5: 1 flip -> window {0,1,1} = 2 > tolerance
 	if tr.ConvergedAt() != -1 {
 		t.Fatalf("two flips did not reopen: %d", tr.ConvergedAt())
 	}
 	// A fresh qualifying window re-converges at its start: epochs {5,6,7}
 	// hold {1,0,0} flips, back inside tolerance, so epoch 5 — where the
 	// tolerated final adjustment happened — is the reported stabilisation.
-	tr.Observe(a) // epoch 6: 0 flips
-	tr.Observe(a) // epoch 7: window {1,0,0}
+	tr.EndEpoch()       // epoch 6: 0 flips
+	if !tr.EndEpoch() { // epoch 7: window {1,0,0}
+		t.Fatal("EndEpoch did not report the re-convergence")
+	}
 	if tr.ConvergedAt() != 5 {
 		t.Fatalf("ConvergedAt = %d, want 5", tr.ConvergedAt())
 	}
-	tr.Observe(a) // epoch 8: window {0,0,0} keeps the earlier start
+	tr.EndEpoch() // epoch 8: window {0,0,0} keeps the earlier start
 	if tr.ConvergedAt() != 5 {
 		t.Fatalf("ConvergedAt moved to %d after more quiet epochs", tr.ConvergedAt())
 	}
@@ -149,27 +157,21 @@ func TestConvergenceTracker(t *testing.T) {
 	}
 }
 
-func TestConvergenceTrackerLengthChange(t *testing.T) {
-	tr := NewConvergenceTracker(2)
-	tr.Observe([]int{1})
-	tr.Observe([]int{1, 2}) // different length: full change
-	if tr.ConvergedAt() >= 0 {
-		t.Fatal("length change treated as stable")
-	}
-	if tr.WindowFlips() == 0 {
-		t.Fatal("length change not counted as flips")
-	}
-}
-
 func TestConvergenceTrackerReset(t *testing.T) {
-	tr := NewConvergenceTracker(1)
+	tr := NewConvergenceTracker(1, 1)
 	tr.MaxFlips = 99 // any change tolerated
-	tr.Observe([]int{1})
+	tr.EndEpoch()
 	if tr.ConvergedAt() != 0 {
 		t.Fatal("setup failed")
 	}
 	tr.Reset()
 	if tr.ConvergedAt() != -1 {
 		t.Fatal("Reset did not clear convergence")
+	}
+	// After Reset the next epoch is a first sight again: a full change.
+	tr.MaxFlips = 0
+	tr.EndEpoch()
+	if tr.WindowFlips() != 1 || tr.ConvergedAt() != -1 {
+		t.Fatalf("epoch after Reset: WindowFlips %d, ConvergedAt %d", tr.WindowFlips(), tr.ConvergedAt())
 	}
 }
