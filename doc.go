@@ -42,8 +42,10 @@
 //	                     binary streaming TCP transport (~5× the JSON
 //	                     path's decisions/s) that also carries the
 //	                     whole control plane as control frames;
-//	                     latency histograms + exploration/convergence
-//	                     counters on /v1/metrics, learning-state
+//	                     a fixed-size /v1/metrics document (server-
+//	                     wide latency histogram, opt-in top-K session
+//	                     documents with exploration/convergence
+//	                     counters) at both tiers, learning-state
 //	                     checkpoints through a pluggable
 //	                     CheckpointStore, and a consistent-hash Router
 //	                     that shards sessions across a replica fleet

@@ -68,8 +68,7 @@ type Report struct {
 	WallS        float64 `json:"wall_s"`
 
 	// Latency is the batch round-trip distribution in µs (one sample per
-	// decide batch — client-side, so it survives session churn, unlike
-	// the server's per-session histograms which die with their session).
+	// decide batch, measured client-side).
 	Latency *stats.Histogram `json:"-"`
 }
 

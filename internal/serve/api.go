@@ -80,6 +80,18 @@ type sessionInfo struct {
 	ConvergedAt  int     `json:"converged_at"` // -1 while learning
 }
 
+// sessionDetail is one session's full document: its info plus, for
+// learners that expose it, the ExplorationStats trio — where the ε
+// schedule sits, how much experience the tables hold, and how much of
+// the greedy policy has settled. GET /v1/sessions/{id} serves it, and
+// /v1/metrics?top=K lists it for the K busiest sessions.
+type sessionDetail struct {
+	sessionInfo
+	Epsilon           *float64 `json:"epsilon,omitempty"`
+	VisitTotal        *int     `json:"visit_total,omitempty"`
+	ConvergedFraction *float64 `json:"converged_fraction,omitempty"`
+}
+
 type decideRequest struct {
 	Requests []decideItem `json:"requests"`
 }
@@ -136,19 +148,17 @@ const maxDecideBatch = 4096
 const maxBodyBytes = 32 << 20
 
 // Handler returns the HTTP API.
-func (s *Server) Handler() http.Handler {
-	return newHTTPFront(s, func() (metricsJSON, error) { return s.buildMetrics(), nil })
-}
+func (s *Server) Handler() http.Handler { return newHTTPFront(s) }
 
 // newHTTPFront builds the HTTP API both tiers serve: Server.Handler and
 // Router.Handler both return it. Every route is a codec over the
 // backend's two entry points. Session and fleet routes call control
 // with the op, id and JSON body a binary control frame would carry, and
 // JSON decide runs its batch through decideBatch, so each operation has
-// one implementation per tier whichever transport carries it. metrics
-// is the document the Prometheus scrape renders: the server's own, or
-// the router's fleet merge.
-func newHTTPFront(b connBackend, metrics func() (metricsJSON, error)) http.Handler {
+// one implementation per tier whichever transport carries it. The
+// Prometheus scrape renders the same OpMetrics document the JSON form
+// serves.
+func newHTTPFront(b connBackend) http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, op byte) {
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -180,18 +190,18 @@ func newHTTPFront(b connBackend, metrics func() (metricsJSON, error)) http.Handl
 		writeControlResult(w, status, body)
 	})
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !wantsPrometheus(r) {
-			status, body := b.control(wire.OpMetrics, "", nil)
+		status, body := b.control(wire.OpMetrics, "", metricsQueryFromRequest(r))
+		if status != http.StatusOK || !wantsPrometheus(r) {
 			writeControlResult(w, status, body)
 			return
 		}
-		m, err := metrics()
-		if err != nil {
-			writeControlResult(w, http.StatusBadGateway, errorBody(err))
+		var m metricsJSON
+		if err := json.Unmarshal(body, &m); err != nil {
+			writeControlResult(w, http.StatusInternalServerError, errorBody(err))
 			return
 		}
 		w.Header().Set("Content-Type", prometheusContentType)
-		writePrometheus(w, m, topSessions(r))
+		writePrometheus(w, m)
 	})
 	mux.HandleFunc("POST /v1/decide", func(w http.ResponseWriter, r *http.Request) {
 		status, body := decideJSON(b, w, r)
@@ -259,9 +269,15 @@ func decideJSON(b connBackend, w http.ResponseWriter, r *http.Request) (uint16, 
 	return http.StatusOK, jsonBody(resp)
 }
 
-func (s *Server) info(sess *session) sessionInfo {
+// info is the session's lean document: what a create answers and what
+// OpList enumerates.
+func (sess *session) info() sessionInfo {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	return sess.infoLocked()
+}
+
+func (sess *session) infoLocked() sessionInfo {
 	in := sessionInfo{
 		ID:           sess.id,
 		Governor:     sess.govName,
@@ -280,6 +296,18 @@ func (s *Server) info(sess *session) sessionInfo {
 		in.ConvergedAt = ls.ConvergedAtEpoch()
 	}
 	return in
+}
+
+// detail is the session's full document (OpInfo and the top-K list).
+func (sess *session) detail() sessionDetail {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	d := sessionDetail{sessionInfo: sess.infoLocked()}
+	if es, ok := sess.learner.(governor.ExplorationStats); ok {
+		eps, visits, frac := es.Epsilon(), es.VisitTotal(), es.ConvergedFraction()
+		d.Epsilon, d.VisitTotal, d.ConvergedFraction = &eps, &visits, &frac
+	}
+	return d
 }
 
 // freezeSession captures the session's learnt state now and persists it
@@ -429,34 +457,17 @@ func latencyFromHistogram(h *stats.Histogram) latencyJSON {
 	return lj
 }
 
-// learningJSON is one session's explore→exploit position: where the ε
-// schedule sits, how much experience the tables hold, and how much of
-// the greedy policy has settled — the counters an operator reads to
-// tell "still exploring" from "converged and exploiting" without
-// touching the session.
-type learningJSON struct {
-	Epochs       int64 `json:"epochs"`
-	Explorations int   `json:"explorations"`
-	ConvergedAt  int   `json:"converged_at"` // -1 while learning
-	// The ExplorationStats trio; present only for learners that expose it.
-	Epsilon           *float64 `json:"epsilon,omitempty"`
-	VisitTotal        *int     `json:"visit_total,omitempty"`
-	ConvergedFraction *float64 `json:"converged_fraction,omitempty"`
-}
-
-// sessionMetricsJSON is one session's /v1/metrics entry: the latency
-// histogram fields (flat, as they have always been) plus the learning
-// counters for governors that learn.
-type sessionMetricsJSON struct {
-	latencyJSON
-	Learning *learningJSON `json:"learning,omitempty"`
-}
-
 type metricsJSON struct {
-	Decisions int64                         `json:"decisions"`
-	Sessions  map[string]sessionMetricsJSON `json:"sessions"`
+	Decisions int64 `json:"decisions"`
+	// Sessions is the live session count; a router reports the fleet sum.
+	Sessions int `json:"sessions"`
+	// Top lists the documents of the K busiest sessions (most epochs
+	// first, ties by id ascending) when the request asked for top=K. A
+	// router's list is the top K of its replicas' top-K lists, which is
+	// exactly the fleet-wide top K.
+	Top []sessionDetail `json:"top,omitempty"`
 	// DecideLatency is the server-wide decision latency histogram — the
-	// striped aggregate every session's decides also land in, O(1) in
+	// striped aggregate every session's decides land in, O(1) in
 	// session count. A router reports the fleet-wide bin-sum. Absent
 	// until the first decision.
 	DecideLatency *latencyJSON `json:"decide_latency,omitempty"`
@@ -489,14 +500,13 @@ type metricsJSON struct {
 	QTableCowFaults       int64 `json:"qtable_cow_faults"`
 }
 
-// buildMetrics snapshots the fleet view /v1/metrics serves. Each session
-// is snapshotted under its own lock, so metrics reads interleave with
-// serving without stalling the whole store.
-func (s *Server) buildMetrics() metricsJSON {
-	all := s.snapshotSessions()
+// buildMetrics is the OpMetrics document: fixed-size counters, the
+// aggregate latency histogram and runtime gauges, plus the top-K list
+// when k > 0. Only that list visits sessions.
+func (s *Server) buildMetrics(k int) metricsJSON {
 	out := metricsJSON{
 		Decisions:         s.decisions.Load(),
-		Sessions:          make(map[string]sessionMetricsJSON, len(all)),
+		Sessions:          s.sessions.Len(),
 		CheckpointWrites:  s.ckptWrites.Load(),
 		CheckpointSkipped: s.ckptSkipped.Load(),
 	}
@@ -507,51 +517,96 @@ func (s *Server) buildMetrics() metricsJSON {
 	}
 	rs := stats.ReadRuntime()
 	out.Runtime = &rs
-	for _, sess := range all {
-		sess.mu.Lock()
-		lat := sess.lat
-		if lat == nil {
-			lat = emptyLatHist // not decided yet: histogram built lazily
-		}
-		mj := sessionMetricsJSON{latencyJSON: latencyFromHistogram(lat)}
-		if ls, ok := sess.learner.(governor.LearningStats); ok {
-			lj := &learningJSON{
-				Epochs:       sess.epochs,
-				Explorations: ls.Explorations(),
-				ConvergedAt:  ls.ConvergedAtEpoch(),
-			}
-			if es, ok := sess.learner.(governor.ExplorationStats); ok {
-				eps, visits, frac := es.Epsilon(), es.VisitTotal(), es.ConvergedFraction()
-				lj.Epsilon, lj.VisitTotal, lj.ConvergedFraction = &eps, &visits, &frac
-			}
-			mj.Learning = lj
-		}
-		sess.mu.Unlock()
-		out.Sessions[sess.id] = mj
+	if k > 0 {
+		out.Top = s.busiest(k)
 	}
 	return out
 }
 
-// maxTopSessions bounds ?top=K: per-session series are opt-in detail, and
-// even opted in, the scrape must stay bounded whatever K the URL carries.
+// busiest returns the documents of the k sessions with the most epochs.
+// Ranking runs over a snapshot, outside the store's shard locks, and
+// keeps at most k candidates; only those k documents are built.
+func (s *Server) busiest(k int) []sessionDetail {
+	type cand struct {
+		sess   *session
+		epochs int64
+	}
+	top := make([]cand, 0, k)
+	for _, sess := range s.snapshotSessions() {
+		sess.mu.Lock()
+		epochs, dead := sess.epochs, sess.dead
+		sess.mu.Unlock()
+		if !dead {
+			top = insertRanked(top, cand{sess, epochs}, k, func(a, b cand) bool {
+				return ranksBefore(a.epochs, a.sess.id, b.epochs, b.sess.id)
+			})
+		}
+	}
+	// Decides may have landed since the ranking pass: order by the epochs
+	// the documents report.
+	out := make([]sessionDetail, 0, len(top))
+	for _, c := range top {
+		out = insertRanked(out, c.sess.detail(), k, detailBefore)
+	}
+	return out
+}
+
+// ranksBefore is the top-K order: more epochs first, ties by id
+// ascending. Replicas and the router rank alike, so the router's top K
+// of the replicas' top Ks is the fleet-wide top K.
+func ranksBefore(epochsA int64, idA string, epochsB int64, idB string) bool {
+	if epochsA != epochsB {
+		return epochsA > epochsB
+	}
+	return idA < idB
+}
+
+func detailBefore(a, b sessionDetail) bool { return ranksBefore(a.Epochs, a.ID, b.Epochs, b.ID) }
+
+// insertRanked inserts x into top, which is sorted by before and holds at
+// most k entries; x is dropped when all k rank before it.
+func insertRanked[T any](top []T, x T, k int, before func(a, b T) bool) []T {
+	i := sort.Search(len(top), func(i int) bool { return before(x, top[i]) })
+	if i >= k {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, x)
+	}
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = x
+	return top
+}
+
+// maxTopSessions bounds top=K: per-session documents are opt-in detail,
+// and even opted in, the metrics body must stay bounded whatever K the
+// request carries.
 const maxTopSessions = 64
 
-// topSessions reads the Prometheus scrape's ?top=K knob: how many of the
-// busiest sessions get per-session series. The default 0 keeps the
-// exposition O(1) in session count.
-func topSessions(r *http.Request) int {
-	s := r.URL.Query().Get("top")
-	if s == "" {
-		return 0
+// metricsQueryFromRequest reads /v1/metrics's ?top=K into an OpMetrics
+// body, {"top":K}. A missing, malformed or non-positive K asks for no
+// sessions (an empty body), which keeps the document O(1) in session
+// count.
+func metricsQueryFromRequest(r *http.Request) []byte {
+	k, err := strconv.Atoi(r.URL.Query().Get("top"))
+	if err != nil || k <= 0 {
+		return nil
 	}
-	k, err := strconv.Atoi(s)
-	if err != nil || k < 0 {
-		return 0
+	return fmt.Appendf(nil, `{"top":%d}`, k)
+}
+
+// parseMetricsQuery reads an OpMetrics body into K, clamped to
+// maxTopSessions.
+func parseMetricsQuery(body []byte) (int, error) {
+	var q struct {
+		Top int `json:"top"`
 	}
-	if k > maxTopSessions {
-		return maxTopSessions
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &q); err != nil {
+			return 0, err
+		}
 	}
-	return k
+	return max(0, min(q.Top, maxTopSessions)), nil
 }
 
 // mergeLatencyJSON folds one rendered latency histogram into an
@@ -622,7 +677,7 @@ func (s *Server) listInfos() []sessionInfo {
 	all := s.snapshotSessions()
 	infos := make([]sessionInfo, 0, len(all))
 	for _, sess := range all {
-		infos = append(infos, s.info(sess))
+		infos = append(infos, sess.info())
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	return infos

@@ -30,7 +30,7 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 			return uint16(st), errorBody(err)
 		}
 		s.logf("serve: session %s created (%s on %s)", sess.id, sess.govName, sess.platName)
-		return http.StatusCreated, jsonBody(s.info(sess))
+		return http.StatusCreated, jsonBody(sess.info())
 
 	case wire.OpCheckpoint:
 		sess := s.session(session)
@@ -54,10 +54,14 @@ func (s *Server) control(op byte, session string, body []byte) (status uint16, r
 		if sess == nil {
 			return http.StatusNotFound, errorBody(errUnknownSession(session))
 		}
-		return http.StatusOK, jsonBody(s.info(sess))
+		return http.StatusOK, jsonBody(sess.detail())
 
 	case wire.OpMetrics:
-		return http.StatusOK, jsonBody(s.buildMetrics())
+		k, err := parseMetricsQuery(body)
+		if err != nil {
+			return http.StatusBadRequest, errorBody(err)
+		}
+		return http.StatusOK, jsonBody(s.buildMetrics(k))
 
 	case wire.OpList:
 		return http.StatusOK, jsonBody(s.listInfos())

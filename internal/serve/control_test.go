@@ -200,7 +200,8 @@ func testControlPlaneLifecycle(t *testing.T, p controlPlanes) {
 	st, body, err = cl.Members()
 	sameAnswer(t, "members", hs, hb, st, body, err)
 
-	// List includes both sessions; metrics carries bc0's histogram.
+	// List includes both sessions; metrics counts them, and its top-K
+	// list carries bc0's document.
 	if st, body, err = cl.ListSessions(); err != nil || st != http.StatusOK {
 		t.Fatalf("list: status %d err %v", st, err)
 	}
@@ -210,15 +211,17 @@ func testControlPlaneLifecycle(t *testing.T, p controlPlanes) {
 	if err := json.Unmarshal(body, &infos); err != nil || len(infos) != 2 || infos[0].ID != "bc0" || infos[1].ID != "hc0" {
 		t.Fatalf("list body %s (err %v)", body, err)
 	}
-	if st, body, err = cl.Metrics(); err != nil || st != http.StatusOK {
+	if st, body, err = cl.Control(wire.OpMetrics, "", []byte(`{"top":1}`)); err != nil || st != http.StatusOK {
 		t.Fatalf("metrics: status %d err %v", st, err)
 	}
 	var m struct {
-		Sessions map[string]struct {
-			Count int `json:"count"`
-		} `json:"sessions"`
+		Sessions int `json:"sessions"`
+		Top      []struct {
+			ID     string `json:"id"`
+			Epochs int64  `json:"epochs"`
+		} `json:"top"`
 	}
-	if err := json.Unmarshal(body, &m); err != nil || m.Sessions["bc0"].Count != 5 {
+	if err := json.Unmarshal(body, &m); err != nil || m.Sessions != 2 || len(m.Top) != 1 || m.Top[0].ID != "bc0" || m.Top[0].Epochs != 5 {
 		t.Fatalf("metrics body %s (err %v)", body, err)
 	}
 

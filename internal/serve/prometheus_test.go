@@ -62,8 +62,8 @@ func mustContain(t *testing.T, body string, wants ...string) {
 // ?format=prometheus or Accept: text/plain. The default scrape is O(1)
 // in session count: one server-wide latency histogram with cumulative
 // le buckets summing to the decision count, and no per-session series
-// at all. Per-session detail (histogram, learning gauges) appears only
-// under ?top=K. The default content type stays JSON.
+// at all. Per-session learning gauges appear only under ?top=K. The
+// default content type stays JSON.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	const decisions = 5
 	h := newTestServer(t, serve.Options{})
@@ -152,15 +152,15 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		)
 	}
 
-	// ?top=K opts back into per-session detail, under the separate
-	// rtmd_session_* families.
+	// ?top=K opts back into per-session learning gauges, under the
+	// separate rtmd_session_* families. Per-session latency is not among
+	// them: it lives in the session's /v1/trace spans.
 	body := promBody(t, h.ts.Client(), h.ts.URL, false, "top=4")
+	if strings.Contains(body, "rtmd_session_decision_latency") {
+		t.Errorf("top=K exposition renders per-session latency:\n%s", body)
+	}
 	mustContain(t, body,
-		"# TYPE rtmd_session_decision_latency_seconds histogram",
-		fmt.Sprintf(`rtmd_session_decision_latency_seconds_bucket{session="p0",le="+Inf"} %d`, decisions),
-		`rtmd_session_decision_latency_seconds_sum{session="p0"} `,
-		fmt.Sprintf(`rtmd_session_decision_latency_seconds_count{session="p0"} %d`, decisions),
-		`rtmd_session_decision_latency_overflow_total{session="p0"} 0`,
+		"# TYPE rtmd_session_epochs gauge",
 		`rtmd_session_explorations{session="p0"}`,
 		fmt.Sprintf(`rtmd_session_epochs{session="p0"} %d`, decisions),
 		`rtmd_session_epsilon{session="p0"}`,
@@ -243,7 +243,7 @@ func TestRouterPrometheusMetrics(t *testing.T) {
 	// Opting in with ?top=K surfaces the fleet's per-session detail.
 	topBody := promBody(t, rtHTTP.Client(), rtHTTP.URL, false, "top=8")
 	for _, id := range ids {
-		mustContain(t, topBody, fmt.Sprintf(`rtmd_session_decision_latency_seconds_count{session=%q} 1`, id))
+		mustContain(t, topBody, fmt.Sprintf(`rtmd_session_epochs{session=%q} 1`, id))
 	}
 
 	// Each routed decide above was one relayed hop; the per-replica hop

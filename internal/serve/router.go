@@ -89,7 +89,7 @@ type Router struct {
 	inflight atomic.Int64
 
 	// hopmu guards hops: per-replica routed round-trip latency, recorded
-	// by relay completion goroutines and snapshotted by mergedMetrics.
+	// by relay completion goroutines and snapshotted by aggregateMetrics.
 	hopmu sync.Mutex
 	hops  map[string]*stats.Histogram
 
@@ -692,7 +692,7 @@ func (rt *Router) hopSnapshot() map[string]latencyJSON {
 func (rt *Router) control(op byte, session string, body []byte) (uint16, []byte) {
 	switch op {
 	case wire.OpMetrics:
-		return rt.aggregateMetrics()
+		return rt.aggregateMetrics(body)
 	case wire.OpList:
 		return rt.aggregateList()
 	case wire.OpHealth:
@@ -794,23 +794,28 @@ func (rt *Router) eachReplica(f func(addr string, cl *client.Client) ([]byte, er
 	return bodies, members, errs
 }
 
-// mergedMetrics merges the reachable replicas' /v1/metrics documents:
-// session entries union (ids are globally unique — the ring sends each
-// to one replica), decision counters sum, and unreachable members are
-// named in DegradedReplicas rather than failing the whole aggregate.
-// The error is non-nil only when zero replicas answered.
-func (rt *Router) mergedMetrics() (metricsJSON, error) {
+// aggregateMetrics merges the reachable replicas' OpMetrics documents:
+// counters and session counts sum, latency histograms merge bin-wise,
+// and the top-K lists merge into the fleet's top K (the query body goes
+// to every replica verbatim, so each ranks its own K). A partial answer
+// is still 200 — scrapers keep their time series through a replica
+// outage — with the gap named in degraded_replicas; zero answers is 502.
+func (rt *Router) aggregateMetrics(body []byte) (uint16, []byte) {
+	k, err := parseMetricsQuery(body)
+	if err != nil {
+		return http.StatusBadRequest, errorBody(err)
+	}
 	bodies, members, errs := rt.eachReplica(func(addr string, cl *client.Client) ([]byte, error) {
-		status, body, err := cl.Metrics()
+		status, resp, err := cl.Control(wire.OpMetrics, "", body)
 		if err != nil {
 			return nil, err
 		}
 		if status != http.StatusOK {
 			return nil, fmt.Errorf("metrics returned %d", status)
 		}
-		return body, nil
+		return resp, nil
 	})
-	merged := metricsJSON{Sessions: make(map[string]sessionMetricsJSON)}
+	var merged metricsJSON
 	var firstErr error
 	answered := 0
 	for i := range members {
@@ -822,14 +827,15 @@ func (rt *Router) mergedMetrics() (metricsJSON, error) {
 			} else {
 				answered++
 				merged.Decisions += m.Decisions
+				merged.Sessions += m.Sessions
 				merged.CheckpointWrites += m.CheckpointWrites
 				merged.CheckpointSkipped += m.CheckpointSkipped
 				merged.QTablePoolPages += m.QTablePoolPages
 				merged.QTablePoolSharedBytes += m.QTablePoolSharedBytes
 				merged.QTableCowFaults += m.QTableCowFaults
 				merged.DecideLatency = mergeLatencyJSON(merged.DecideLatency, m.DecideLatency)
-				for id, sm := range m.Sessions {
-					merged.Sessions[id] = sm
+				for _, d := range m.Top {
+					merged.Top = insertRanked(merged.Top, d, k, detailBefore)
 				}
 				continue
 			}
@@ -843,24 +849,13 @@ func (rt *Router) mergedMetrics() (metricsJSON, error) {
 		if firstErr == nil {
 			firstErr = errf("router has no replicas")
 		}
-		return metricsJSON{}, firstErr
+		return http.StatusBadGateway, errorBody(firstErr)
 	}
 	merged.RouteHops = rt.hopSnapshot()
 	inflight := rt.inflight.Load()
 	merged.RouteInflight = &inflight
 	rs := stats.ReadRuntime()
 	merged.Runtime = &rs // the router's own process, not the fleet's
-	return merged, nil
-}
-
-// aggregateMetrics is mergedMetrics in control-plane clothing: a partial
-// answer is still 200 (scrapers keep their time series through a replica
-// outage) with the gap named in degraded_replicas.
-func (rt *Router) aggregateMetrics() (uint16, []byte) {
-	merged, err := rt.mergedMetrics()
-	if err != nil {
-		return http.StatusBadGateway, errorBody(err)
-	}
 	return http.StatusOK, jsonBody(merged)
 }
 
@@ -1180,7 +1175,7 @@ func NewRouterTCP(rt *Router, lis net.Listener) *TCPServer {
 
 // Handler returns the router's HTTP API: the front a flat server
 // exposes, so existing clients point at the router unchanged.
-func (rt *Router) Handler() http.Handler { return newHTTPFront(rt, rt.mergedMetrics) }
+func (rt *Router) Handler() http.Handler { return newHTTPFront(rt) }
 
 // memberHealthJSON is one member's slot in the fleet health document.
 type memberHealthJSON struct {

@@ -47,8 +47,14 @@ func TestScrapeByteBudget10kSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// The 64 sessions that decide below learn, so ?top=K has learning
+	// gauges to render for them; the bulk is ondemand.
 	for i := 0; i < sessions; i++ {
-		body := fmt.Sprintf(`{"id":"scale-%d","governor":"ondemand"}`, i)
+		gov := "ondemand"
+		if i < 64 {
+			gov = "rtm"
+		}
+		body := fmt.Sprintf(`{"id":"scale-%d","governor":%q}`, i, gov)
 		if st, resp, err := cl.CreateSession([]byte(body)); err != nil || st != http.StatusCreated {
 			t.Fatalf("create %d: status %d err %v (%s)", i, st, err, resp)
 		}
@@ -76,13 +82,13 @@ func TestScrapeByteBudget10kSessions(t *testing.T) {
 	// ?top=K bounds the opt-in slice too: asking for 5 renders exactly 5
 	// sessions' series, and the clamp keeps even top=10000 bounded.
 	top5 := promBody(t, h.ts.Client(), h.ts.URL, false, "top=5")
-	if n := strings.Count(top5, "rtmd_session_decision_latency_seconds_count{"); n != 5 {
-		t.Errorf("top=5 rendered %d per-session histograms, want 5", n)
+	if n := strings.Count(top5, "rtmd_session_epochs{"); n != 5 {
+		t.Errorf("top=5 rendered %d sessions, want 5", n)
 	}
 	lintExposition(t, top5)
 	clamped := promBody(t, h.ts.Client(), h.ts.URL, false, fmt.Sprintf("top=%d", sessions))
-	if n := strings.Count(clamped, "rtmd_session_decision_latency_seconds_count{"); n > 64 {
-		t.Errorf("top=%d rendered %d per-session histograms, clamp is 64", sessions, n)
+	if n := strings.Count(clamped, "rtmd_session_epochs{"); n != 64 {
+		t.Errorf("top=%d rendered %d sessions, clamp is 64", sessions, n)
 	}
 	lintExposition(t, clamped)
 
@@ -94,7 +100,7 @@ func TestScrapeByteBudget10kSessions(t *testing.T) {
 		}
 	}
 	top1 := promBody(t, h.ts.Client(), h.ts.URL, false, "top=1")
-	mustContain(t, top1, `rtmd_session_decision_latency_seconds_count{session="scale-3"} 9`)
+	mustContain(t, top1, `rtmd_session_epochs{session="scale-3"} 9`)
 }
 
 // Both tiers' expositions must satisfy the linter in their default and

@@ -13,7 +13,9 @@
 //	POST   /v1/sessions/{id}/checkpoint freeze the learnt state now
 //	DELETE /v1/sessions/{id}            drop the session and its
 //	                                    checkpoint
-//	GET    /v1/metrics                  JSON, or Prometheus text
+//	GET    /v1/metrics                  fixed-size JSON, or Prometheus
+//	                                    text; ?top=K adds the K busiest
+//	                                    sessions' documents
 //	GET    /v1/trace                    sampled decide-path spans
 //	GET    /v1/members                  the fleet membership table
 //	GET    /healthz                     liveness + counters
@@ -87,12 +89,6 @@ const (
 	latHistBins = 70
 )
 
-// emptyLatHist is what metrics report for a session that has not decided
-// yet: its real histogram is built lazily on the first decide (a ~2 KB
-// allocation most short-lived sessions never need), so the all-zero shape
-// comes from this shared instance. Read-only — never Add to it.
-var emptyLatHist = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
-
 // latStripes is the server-wide aggregate latency histogram's stripe
 // count. Every decide lands one sample in its session's assigned stripe
 // (round-robin at create), so the aggregate costs one uncontended mutex
@@ -101,8 +97,8 @@ var emptyLatHist = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
 const latStripes = 64
 
 // latStripe is one shard of the aggregate decision-latency histogram.
-// The histogram is built lazily like a session's: an idle server carries
-// 64 nil pointers, not 64 × 2 KB of zero bins.
+// The histogram is built lazily: an idle server carries 64 nil pointers,
+// not 64 × 2 KB of zero bins.
 type latStripe struct {
 	mu sync.Mutex
 	h  *stats.Histogram
@@ -255,13 +251,8 @@ type session struct {
 	// generation so a decide racing a checkpoint can never mark clean
 	// state that was not captured. Guarded by mu.
 	ckptEpochs int64
-	// lat is the decision latency histogram in µs, guarded by mu. It is
-	// built lazily on the first decide: a created-but-idle session (the
-	// bulk of a fleet at peak churn) should not carry ~600 B of empty
-	// bins. Metrics rendering treats nil as the empty histogram.
-	lat *stats.Histogram
 	// stripe is the server-wide aggregate histogram shard this session's
-	// decisions also land in — assigned at create, immutable after.
+	// decision latencies land in — assigned at create, immutable after.
 	stripe *latStripe
 	// dead marks a deleted session whose pooled learning state has been
 	// released. Guarded by mu: an in-flight decide that still holds the
@@ -924,7 +915,8 @@ func (s *Server) deleteSession(id string) bool {
 }
 
 // decide serialises one decision on the session and records its latency
-// (µs under the session lock, the figure /v1/metrics reports). Governor
+// (µs under the session lock) in the server-wide histogram /v1/metrics
+// reports; a single session's latencies are in its /v1/trace spans. Governor
 // panics (a malformed observation hitting a harness-bug assertion) are
 // contained per call so one bad request cannot take the server down.
 func (sess *session) decide(obs governor.Observation) (idx int, err error) {
@@ -936,19 +928,12 @@ func (sess *session) decide(obs governor.Observation) (idx int, err error) {
 		// lookup had missed.
 		return -1, errUnknownSession(sess.id)
 	}
-	if sess.lat == nil {
-		sess.lat = stats.NewLogHistogram(latHistLoUS, latHistHiUS, latHistBins)
-	}
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("governor rejected the observation: %v", r)
 		}
-		us := float64(time.Since(start)) / float64(time.Microsecond)
-		sess.lat.Add(us)
-		if sess.stripe != nil {
-			sess.stripe.add(us)
-		}
+		sess.stripe.add(float64(time.Since(start)) / float64(time.Microsecond))
 	}()
 	idx = sess.gov.Decide(obs)
 	sess.epochs++

@@ -15,14 +15,13 @@ import (
 // N discretisation levels and must see outliers, and the serving tier's
 // latency quantiles must know when the tail escaped the range.
 type Histogram struct {
-	lo, hi    float64
-	width     float64 // fixed-bin width; 0 in log mode
-	logScale  bool
-	invLogK   float64 // bins / ln(hi/lo); only set in log mode
-	// counts are uint32: a per-session or per-lane histogram never sees
-	// 4B samples in one bin, and the narrower lane matters when a serving
-	// fleet holds one histogram per live session. total stays int, so
-	// Count and quantile ranks are unaffected.
+	lo, hi   float64
+	width    float64 // fixed-bin width; 0 in log mode
+	logScale bool
+	invLogK  float64 // bins / ln(hi/lo); only set in log mode
+	// counts are uint32 to halve the bin array; a bin wraps after 4B
+	// samples. total stays int, so Count and quantile ranks are
+	// unaffected.
 	counts    []uint32
 	underflow int
 	overflow  int

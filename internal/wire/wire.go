@@ -109,8 +109,9 @@ const (
 	OpDelete byte = 0x03
 	// OpInfo returns the session's info JSON.
 	OpInfo byte = 0x04
-	// OpMetrics returns the server's metrics JSON (the /v1/metrics body);
-	// the session field is ignored.
+	// OpMetrics returns the server's metrics JSON (the /v1/metrics body).
+	// An optional JSON body {"top":K} asks for the K busiest sessions'
+	// documents too; the session field is ignored.
 	OpMetrics byte = 0x05
 	// OpList returns the JSON array of all session infos; the session
 	// field is ignored.
